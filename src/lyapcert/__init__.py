@@ -50,7 +50,7 @@ from .geometry import (
     refine2,
     tau_of,
 )
-from .interval import Interval, IntervalMatrix, IntervalVector, hull
+from .interval import Interval, IntervalArray, IntervalMatrix, IntervalVector, hull
 from .levelset import (
     LevelEstimate,
     boundary_samples,
@@ -101,6 +101,7 @@ from .verifier import (
     reach_covered,
     search_horizon,
     verify_box,
+    verify_boxes,
     verify_continuous,
 )
 

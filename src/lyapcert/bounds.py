@@ -28,8 +28,8 @@ import numpy as np
 
 from .ad import Dual, Dual2, dual_seeds, dual2_seeds
 from .errors import LyapcertError
-from .geometry import HyperRect, refine2
-from .interval import Interval, IntervalMatrix, IntervalVector
+from .geometry import HyperRect, interval_batch, refine2
+from .interval import Interval, IntervalArray, IntervalMatrix
 from .system import CandidateV, DomainExit, PiecewiseSystem, apply_field, quad_form
 
 SPLIT = "split"
@@ -79,27 +79,46 @@ def gradient_coefficient(grad: np.ndarray, pairing: str = PAIR_LINF) -> float:
     return float(np.sum(np.abs(grad)))
 
 
-def remainder_bound(hess: IntervalMatrix, tau: np.ndarray) -> float:
-    """1/2 tau' |H| tau with componentwise magnitude upper bounds."""
-    H = np.asarray(hess.magnitudes(), dtype=float)
+def remainder_bound(hess, tau: np.ndarray) -> float:
+    """1/2 tau' |H| tau with componentwise magnitude upper bounds.
+
+    `hess` is an IntervalMatrix or the float matrix of its magnitudes.
+    """
+    if isinstance(hess, IntervalMatrix):
+        hess = hess.magnitudes()
+    H = np.asarray(hess, dtype=float)
     return float(0.5 * tau @ H @ tau)
+
+
+def _combined_magnitudes(grad0, hess_rows, offs):
+    """Per axis j, the magnitude of grad0_j + 1/2 sum_i offs_i H_ij.
+
+    Written once for every interval payload: the scalar path passes
+    Intervals, the batched path IntervalArrays with one entry per box.
+    """
+    n = len(offs)
+    mags = []
+    for j in range(n):
+        v = grad0[j]
+        for i in range(n):
+            v = v + offs[i] * hess_rows[i][j] * 0.5
+        mags.append(v.magnitude())
+    return mags
+
+
+def _dual_norm(mags, pairing: str) -> float:
+    if pairing == PAIR_L2:
+        return float(np.linalg.norm(mags))
+    return float(sum(mags))
 
 
 def combined_coefficient(
     grad0: np.ndarray, hess: IntervalMatrix, box: HyperRect, pairing: str = PAIR_LINF
 ) -> float:
     """Upper bound of ||grad F(x_s) + 1/2 (x - x_s)' H|| over the box."""
-    n = box.n
-    offs = [Interval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(n)]
-    mags = []
-    for j in range(n):
-        v = Interval.point(float(grad0[j]))
-        for i in range(n):
-            v = v + offs[i] * hess[i, j] * 0.5
-        mags.append(v.magnitude())
-    if pairing == PAIR_L2:
-        return float(np.linalg.norm(mags))
-    return float(sum(mags))
+    offs = [Interval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(box.n)]
+    grad = [Interval.point(float(g)) for g in grad0]
+    return _dual_norm(_combined_magnitudes(grad, hess.rows, offs), pairing)
 
 
 # -- branch-restricted scalar maps ------------------------------------------
@@ -131,13 +150,11 @@ class DecreaseMap:
             return float(out), np.zeros(len(x))
         return float(out.value), np.array(out.grad, dtype=float)
 
-    def interval_value(self, ivec: IntervalVector) -> Interval:
-        out = self._eval(list(ivec))
-        return out if isinstance(out, Interval) else Interval.point(float(out))
+    def interval_value(self, ivec):
+        return _interval_of(self._eval(list(ivec)), ivec)
 
-    def interval_hessian(self, ivec: IntervalVector) -> IntervalMatrix:
-        out = self._eval(dual2_seeds(list(ivec)))
-        return _hess_of(out, len(ivec))
+    def interval_hessian(self, ivec):
+        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
 class SumOfIteratesMap:
@@ -168,13 +185,11 @@ class SumOfIteratesMap:
             return float(out), np.zeros(len(x))
         return float(out.value), np.array(out.grad, dtype=float)
 
-    def interval_value(self, ivec: IntervalVector) -> Interval:
-        out = self._eval(list(ivec))
-        return out if isinstance(out, Interval) else Interval.point(float(out))
+    def interval_value(self, ivec):
+        return _interval_of(self._eval(list(ivec)), ivec)
 
-    def interval_hessian(self, ivec: IntervalVector) -> IntervalMatrix:
-        out = self._eval(dual2_seeds(list(ivec)))
-        return _hess_of(out, len(ivec))
+    def interval_hessian(self, ivec):
+        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
 class DerivativeAlongFlowMap:
@@ -229,16 +244,39 @@ class DerivativeAlongFlowMap:
             return float(out), np.zeros(len(x))
         return float(out.value), np.array(out.grad, dtype=float)
 
-    def interval_value(self, ivec: IntervalVector) -> Interval:
-        out = self._eval(list(ivec))
-        return out if isinstance(out, Interval) else Interval.point(float(out))
+    def interval_value(self, ivec):
+        return _interval_of(self._eval(list(ivec)), ivec)
 
-    def interval_hessian(self, ivec: IntervalVector) -> IntervalMatrix:
-        out = self._eval(dual2_seeds(list(ivec)))
-        return _hess_of(out, len(ivec))
+    def interval_hessian(self, ivec):
+        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
-def _hess_of(out, n: int) -> IntervalMatrix:
+def _interval_of(out, ivec):
+    """A map's value as an interval of the argument's payload kind.
+
+    `ivec` is an IntervalVector (one box) or an IntervalArray of shape
+    (n, N) (N boxes); a map that does not depend on x yields a constant.
+    """
+    if isinstance(out, (Interval, IntervalArray)):
+        return out
+    if isinstance(ivec, IntervalArray):
+        return ivec[0].constant(out)
+    return Interval.point(float(out))
+
+
+def _hess_of(out, ivec):
+    """The Hessian of a Dual2 result: an IntervalMatrix for one box, or an
+    IntervalArray of shape (N, n, n) for a batch of N boxes."""
+    n = len(ivec)
+    if isinstance(ivec, IntervalArray):
+        lo = np.zeros((ivec.lo.shape[1], n, n))
+        hi = np.zeros_like(lo)
+        if isinstance(out, Dual2):
+            for i, row in enumerate(out.hess):
+                for j, h in enumerate(row):
+                    lo[:, i, j] = h.lo
+                    hi[:, i, j] = h.hi
+        return IntervalArray(lo, hi)
     if not isinstance(out, Dual2):
         z = Interval.point(0.0)
         return IntervalMatrix([[z] * n for _ in range(n)])
@@ -260,36 +298,108 @@ class BranchBounds:
     combined: Optional[BoundCoefficients]
 
 
+def _require_no_nan(*arrays):
+    # Interval refuses NaN endpoints (inf - inf after an overflow), which
+    # stops the scalar path; a batched result refuses them the same way
+    if any(np.isnan(a).any() for a in arrays):
+        raise ValueError("interval endpoints must not be NaN")
+
+
+def _values_and_grads(fmap, centers: np.ndarray):
+    """F and grad F at every row of `centers` (shape (N, n)), as float arrays."""
+    N, n = centers.shape
+    out = fmap._eval(dual_seeds([centers[:, i] for i in range(n)]))
+    grads = np.zeros((N, n))
+    if not isinstance(out, Dual):
+        return np.broadcast_to(np.asarray(out, dtype=float), (N,)), grads
+    for i, g in enumerate(out.grad):
+        grads[:, i] = g
+    return np.broadcast_to(np.asarray(out.value, dtype=float), (N,)), grads
+
+
+def assess_boxes(
+    fmap, boxes: Sequence[HyperRect], method: str = SPLIT, pairing: str = PAIR_LINF
+) -> list:
+    """assess_branch for many boxes in one batched evaluation of the map.
+
+    The values and gradients at the sample points are computed over float
+    arrays and the Hessian enclosures over an IntervalArray, one entry per
+    box; the coefficients are then reduced box by box.  Entry k is bit for
+    bit what assess_branch gives for boxes[k] alone, so a result never
+    depends on the other boxes of the batch.  A DomainError anywhere in the
+    batch is raised for the whole batch.
+    """
+    centers = np.array([box.center for box in boxes])
+    n = centers.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+        values, grads = _values_and_grads(fmap, centers)
+        hess = fmap.interval_hessian(interval_batch(boxes))
+        mags = hess.magnitude()
+        combined = None
+        if method in (COMBINED, BEST):
+            lo_off = np.array([box.lo_offsets for box in boxes])
+            hi_off = np.array([box.hi_offsets for box in boxes])
+            offs = [IntervalArray(lo_off[:, i], hi_off[:, i]) for i in range(n)]
+            grad = [IntervalArray.point(grads[:, j]) for j in range(n)]
+            rows = [[hess[:, i, j] for j in range(n)] for i in range(n)]
+            combined = np.column_stack(_combined_magnitudes(grad, rows, offs))
+            _require_no_nan(combined)
+    _require_no_nan(hess.lo, hess.hi)
+    out = []
+    for k, box in enumerate(boxes):
+        split = BoundCoefficients(
+            gradient_coefficient(grads[k], pairing), remainder_bound(mags[k], box.tau), SPLIT
+        )
+        comb = None
+        if combined is not None:
+            comb = BoundCoefficients(_dual_norm(combined[k].tolist(), pairing), 0.0, COMBINED)
+        out.append(BranchBounds(float(values[k]), split, comb))
+    return out
+
+
 def assess_branch(
     fmap, box: HyperRect, method: str = SPLIT, pairing: str = PAIR_LINF
 ) -> BranchBounds:
     """Sample value and variation coefficients of one branch over one box."""
-    value, grad = fmap.value_and_grad(box.center)
-    hess = fmap.interval_hessian(box.to_interval_vector())
-    split = BoundCoefficients(
-        gradient_coefficient(grad, pairing), remainder_bound(hess, box.tau), SPLIT
-    )
-    combined = None
-    if method in (COMBINED, BEST):
-        combined = BoundCoefficients(
-            combined_coefficient(grad, hess, box, pairing), 0.0, COMBINED
-        )
-    return BranchBounds(value, split, combined)
+    return assess_boxes(fmap, [box], method, pairing)[0]
 
 
-def F_ct_and_bounds(
-    ct_sys: PiecewiseSystem,
-    dt_sys: PiecewiseSystem,
-    V: CandidateV,
-    M: int,
-    box: HyperRect,
-    region: int,
-    branch: Sequence[int],
-    method: str = SPLIT,
-) -> BranchBounds:
-    """Convenience wrapper: d/dt of the composed Lyapunov function with bounds."""
-    fmap = DerivativeAlongFlowMap(ct_sys, dt_sys, V, M, region, branch)
-    return assess_branch(fmap, box, method)
+def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
+    """(lo, hi) of the map's interval enclosure over each box, in one batch."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = fmap.interval_value(interval_batch(boxes))
+    _require_no_nan(rng.lo, rng.hi)
+    return list(zip(rng.lo.tolist(), rng.hi.tolist()))
+
+
+def batch_or_each(batch, one, items: Sequence, errors) -> list:
+    """batch(items), or, when that raises one of `errors`, one(item) for
+    each item, with None for an item that raises one of them as well.
+
+    Results are per item and independent of the batch's makeup, so the
+    retry changes which items fail, not the results of the others.
+    """
+    try:
+        return batch(items)
+    except errors:
+        if len(items) == 1:
+            return [None]
+    out = []
+    for item in items:
+        try:
+            out.append(one(item))
+        except errors:
+            out.append(None)
+    return out
+
+
+def group_by_branch(branches_of: dict) -> dict:
+    """{branch: [keys]} from {key: [branches]}, keys in their original order."""
+    groups = {}
+    for key, branches in branches_of.items():
+        for b in branches:
+            groups.setdefault(b, []).append(key)
+    return groups
 
 
 # -- W as a bounded map --------------------------------------------------------
@@ -305,6 +415,10 @@ def w_point_value(dsys: PiecewiseSystem, V: CandidateV, M: int, x) -> float:
         state = step(dsys, state, resolve_region(dsys, state))
         total += V.value(state)
     return float(total)
+
+
+# failures that leave a W bound or enclosure of a box undetermined
+_W_ERRORS = (LyapcertError, DomainExit)
 
 
 class WContext:
@@ -346,55 +460,106 @@ class WContext:
         sample bound W(x_s) - a max|delta| - b (any point of the box
         follows one of the feasible branches) and the plain interval lower
         endpoint.  Coarse boxes may be subdivided down to `subdivide_to`
-        purely for bound evaluation, which tames interval dependency.
+        purely for bound evaluation, which tames interval dependency; the
+        bound is then the minimum over the pieces, None if any piece has none.
         """
+        return self.lower_bounds([box], method, subdivide_to)[0]
+
+    def lower_bounds(
+        self, boxes: Sequence[HyperRect], method: str = SPLIT, subdivide_to: Optional[float] = None
+    ) -> list:
+        """lower_bound_over_box for every box, batched over all their pieces."""
+        pieces = [self._pieces(box, subdivide_to) for box in boxes]
+        bounds = self._piece_bounds([p for ps in pieces for p in ps], method)
+        out = []
+        pos = 0
+        for ps in pieces:
+            own = bounds[pos : pos + len(ps)]
+            pos += len(ps)
+            out.append(None if any(lb is None for lb in own) else min(own))
+        return out
+
+    def _pieces(self, box: HyperRect, subdivide_to: Optional[float]) -> list:
+        """The box, or its recursive 2-refinement down to `subdivide_to`."""
         if subdivide_to is not None and box.max_abs_delta > subdivide_to * (1 + 1e-9):
             try:
                 children = refine2(box)
             except ValueError:
                 children = None
             if children:
-                best = None
-                for child in children:
-                    lb = self.lower_bound_over_box(child, method, subdivide_to)
-                    if lb is None:
-                        return None
-                    best = lb if best is None else min(best, lb)
-                return best
-        best = None
-        try:
-            branches = self.box_branches(box)
-        except (LyapcertError, DomainExit):
-            return None
-        xi = box_radius(box, self.pairing)
-        try:
-            for seq in branches:
-                bb = assess_branch(self.map_for(seq), box, method, self.pairing)
-                coeffs = bb.split if bb.combined is None else min(
-                    (bb.split, bb.combined), key=lambda c: c.a * xi + c.b
-                )
-                lb = bb.value - coeffs.a * xi - coeffs.b
-                best = lb if best is None else min(best, lb)
-        except (LyapcertError, DomainExit):
-            best = None
-        try:
-            enclosure = None
-            for seq in branches:
-                rng = self.map_for(seq).interval_value(box.to_interval_vector())
-                enclosure = rng if enclosure is None else enclosure.hull(rng)
-            if enclosure is not None and math.isfinite(enclosure.lo):
-                best = enclosure.lo if best is None else max(best, enclosure.lo)
-        except (LyapcertError, DomainExit):
-            pass
-        return best
+                return [p for child in children for p in self._pieces(child, subdivide_to)]
+        return [box]
 
-    def interval_value_over_box(self, box: HyperRect):
-        """Hull of the interval images over all feasible branches; None on failure."""
-        try:
-            out = None
-            for seq in self.box_branches(box):
-                rng = self.map_for(seq).interval_value(box.to_interval_vector())
-                out = rng if out is None else out.hull(rng)
-            return out
-        except (LyapcertError, DomainExit):
-            return None
+    def _by_branch(self, boxes: Sequence[HyperRect], method: Optional[str] = None):
+        """The branches of each box, and for each (box index, branch) its
+        (lo, hi) enclosure and, given a method, its assessment, one batch
+        per branch; None marks a failed evaluation, a missing key a box
+        whose branches could not be enumerated."""
+        branches_of = {}
+        for k, box in enumerate(boxes):
+            try:
+                branches_of[k] = self.box_branches(box)
+            except _W_ERRORS:
+                pass
+        found = {}
+        for seq, keys in group_by_branch(branches_of).items():
+            fmap = self.map_for(seq)
+            group = [boxes[k] for k in keys]
+            ranges = batch_or_each(
+                lambda bs: interval_values(fmap, bs),
+                lambda b: interval_values(fmap, [b])[0],
+                group,
+                _W_ERRORS,
+            )
+            assessed = [None] * len(keys)
+            if method is not None:
+                assessed = batch_or_each(
+                    lambda bs: assess_boxes(fmap, bs, method, self.pairing),
+                    lambda b: assess_branch(fmap, b, method, self.pairing),
+                    group,
+                    _W_ERRORS,
+                )
+            for k, rng, bb in zip(keys, ranges, assessed):
+                found[k, seq] = (rng, bb)
+        return branches_of, found
+
+    def _piece_bounds(self, boxes: list, method: str) -> list:
+        branches_of, found = self._by_branch(boxes, method)
+        out = []
+        for k, box in enumerate(boxes):
+            if k not in branches_of:
+                out.append(None)
+                continue
+            ranges, assessments = zip(*(found[k, seq] for seq in branches_of[k]))
+            best = None
+            if all(bb is not None for bb in assessments):
+                xi = box_radius(box, self.pairing)
+                for bb in assessments:
+                    coeffs = bb.split if bb.combined is None else min(
+                        (bb.split, bb.combined), key=lambda c: c.a * xi + c.b
+                    )
+                    lb = bb.value - coeffs.a * xi - coeffs.b
+                    best = lb if best is None else min(best, lb)
+            lo = _hull_lo(ranges)
+            if lo is not None and math.isfinite(lo):
+                best = lo if best is None else max(best, lo)
+            out.append(best)
+        return out
+
+    def interval_values_over_boxes(self, boxes: Sequence[HyperRect]) -> list:
+        """Per box, the hull of the interval images over all feasible
+        branches (None on failure), one batch per branch."""
+        branches_of, found = self._by_branch(boxes)
+        out = []
+        for k in range(len(boxes)):
+            ranges = [found[k, seq][0] for seq in branches_of.get(k, ())]
+            lo = _hull_lo(ranges)
+            out.append(None if lo is None else Interval(lo, max(hi for _, hi in ranges)))
+        return out
+
+
+def _hull_lo(ranges):
+    """Lower end of the hull of (lo, hi) pairs; None if any is missing."""
+    if not ranges or any(rng is None for rng in ranges):
+        return None
+    return min(lo for lo, _ in ranges)

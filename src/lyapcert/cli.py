@@ -16,7 +16,7 @@ import json
 import sys
 
 from .config import RunConfig
-from .errors import LyapcertError
+from .errors import ConfigError, LyapcertError
 from .pipeline import (
     EXIT_ERROR,
     EXIT_PARTIAL,
@@ -40,16 +40,20 @@ def _add_overrides(p: argparse.ArgumentParser):
 def _load_config(path, args) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
-    run = doc.setdefault("run", {})
-    if getattr(args, "workers", None) is not None:
-        run["workers"] = args.workers
-    if getattr(args, "bound_method", None) is not None:
-        run["bound_method"] = args.bound_method
-    if getattr(args, "delta_min", None) is not None:
-        doc["search"]["delta_min"] = args.delta_min
-    if getattr(args, "M", None) is not None:
-        doc["candidate"]["M"] = args.M
-        doc["candidate"]["M_max"] = max(args.M, int(doc["candidate"].get("M_max", args.M)))
+    try:
+        run = doc.setdefault("run", {})
+        if getattr(args, "workers", None) is not None:
+            run["workers"] = args.workers
+        if getattr(args, "bound_method", None) is not None:
+            run["bound_method"] = args.bound_method
+        if getattr(args, "delta_min", None) is not None:
+            doc.setdefault("search", {})["delta_min"] = args.delta_min
+        if getattr(args, "M", None) is not None:
+            cand = doc.setdefault("candidate", {})
+            cand["M"] = args.M
+            cand["M_max"] = max(args.M, int(cand.get("M_max", args.M)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed configuration: {exc}") from exc
     return RunConfig.from_dict(doc)
 
 

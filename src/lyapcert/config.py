@@ -126,12 +126,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Parse and validate a configuration document.
+
+        Any malformed part (a missing key, a value of the wrong type or
+        form) raises ConfigError naming it.
+        """
         try:
             sys_spec = doc["system"]
             cand = doc["candidate"]
             search = doc["search"]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"missing configuration section {exc}") from exc
+        try:
+            return cls._parse(doc, sys_spec, cand, search)
+        except KeyError as exc:
+            raise ConfigError(f"missing configuration key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad configuration value: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, doc, sys_spec, cand, search) -> "RunConfig":
         run = doc.get("run", {})
 
         dim = int(sys_spec["dim"])

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .interval import IntervalVector
+from .interval import IntervalArray, IntervalVector
 
 
 class HyperRect:
@@ -99,6 +99,17 @@ class HyperRect:
 
     def __repr__(self) -> str:
         return f"HyperRect(center={self.center.tolist()}, delta={self.delta.tolist()})"
+
+
+def interval_batch(boxes: Sequence[HyperRect]) -> IntervalArray:
+    """N boxes as one IntervalArray of shape (n, N): row i is axis i of every box.
+
+    Entry k holds the same endpoints as boxes[k].to_interval_vector().
+    """
+    centers = np.array([b.center for b in boxes])
+    lower = centers + np.array([b.lo_offsets for b in boxes])
+    upper = centers + np.array([b.hi_offsets for b in boxes])
+    return IntervalArray(np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T))
 
 
 def delta_from_vertices(center, vertices: Sequence) -> np.ndarray:

@@ -9,6 +9,10 @@ soundness; tightness is reduced by a few ulps per operation.
 Integer powers get a dedicated even/odd rule so that e.g. the square of a
 range containing zero has a zero lower bound; bound quality downstream
 depends on this.
+
+``IntervalArray`` holds one interval per box in two float arrays and
+applies the same rules element by element, so that a whole wave of boxes
+is enclosed in one evaluation.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import math
 import numbers
 import sys
 
+import numpy as np
+
 from .errors import DomainError
 
 _REL = 4.0 * sys.float_info.epsilon
+_FMAX = sys.float_info.max
 
 # sqrt of a slightly negative lower endpoint is clamped to zero instead of
 # failing; anything below this is a genuine domain violation.
@@ -203,6 +210,208 @@ class Interval:
 
 def hull(a: Interval, b: Interval) -> Interval:
     return a.hull(b)
+
+
+# -- batched intervals -------------------------------------------------------
+
+
+def pow_each(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k entry by entry with Python's float power.
+
+    numpy's power rounds differently from the C library's pow in the last
+    bit on a small share of inputs; using the scalar operator keeps batched
+    results equal to scalar ones.
+    """
+    return np.array([v**k for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _down_each(x: np.ndarray) -> np.ndarray:
+    # x - _REL*|x|, which leaves zeros (with their sign) as they are; the
+    # clamp keeps infinities from turning into NaN
+    return x - np.minimum(_REL * np.abs(x), _FMAX)
+
+
+def _up_each(x: np.ndarray) -> np.ndarray:
+    # negated rather than x + _REL*|x|, which would turn -0.0 into +0.0
+    return -_down_each(-x)
+
+
+def _first_min(first, *rest):
+    """Entry-wise min(...) with Python's choice among equal values (the first)."""
+    out = first
+    for p in rest:
+        out = np.where(p < out, p, out)
+    return out
+
+
+def _first_max(first, *rest):
+    out = first
+    for p in rest:
+        out = np.where(p > out, p, out)
+    return out
+
+
+class IntervalArray:
+    """Intervals [lo[k], hi[k]] over float arrays, e.g. one entry per box.
+
+    Every operation uses the endpoint formulas, inflation and special
+    cases of ``Interval``, element by element, so entry k of a result is
+    bit for bit the ``Interval`` result for the k-th operands.  Operations
+    that are undefined for any entry (division by a range containing zero,
+    sqrt of a negative range) raise ``DomainError`` for the whole array.
+
+    Unlike ``Interval``, the constructor does not check for NaN endpoints
+    (inf - inf after an overflow); the batched drivers in ``bounds`` refuse
+    a result that holds one.  The arrays are never modified in place, so
+    results may share them.
+    Indexing and iteration run over the first axis: an array of shape
+    (n, N) is a batch of N boxes seen as n coordinate intervals.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def point(cls, x) -> "IntervalArray":
+        x = np.asarray(x, dtype=float)
+        return cls(x, x)
+
+    def constant(self, c: float) -> "IntervalArray":
+        """The point interval c in every entry of this array's shape."""
+        x = np.full(self.lo.shape, float(c))
+        return IntervalArray(x, x)
+
+    def __repr__(self) -> str:
+        return f"IntervalArray({self.lo!r}, {self.hi!r})"
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, i) -> "IntervalArray":
+        return IntervalArray(self.lo[i], self.hi[i])
+
+    def __iter__(self):
+        return (IntervalArray(a, b) for a, b in zip(self.lo, self.hi))
+
+    def magnitude(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, IntervalArray):
+            return IntervalArray(_down_each(self.lo + other.lo), _up_each(self.hi + other.hi))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return IntervalArray(_down_each(self.lo + c), _up_each(self.hi + c))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, IntervalArray):
+            return IntervalArray(_down_each(self.lo - other.hi), _up_each(self.hi - other.lo))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return IntervalArray(_down_each(self.lo - c), _up_each(self.hi - c))
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return IntervalArray(_down_each(c - self.hi), _up_each(c - self.lo))
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, IntervalArray):
+            p1 = self.lo * other.lo
+            p2 = self.lo * other.hi
+            p3 = self.hi * other.lo
+            p4 = self.hi * other.hi
+            lo = _down_each(_first_min(p1, p2, p3, p4))
+            hi = _up_each(_first_max(p1, p2, p3, p4))
+            # the sum is NaN when a product is (0 * inf), and also when
+            # products of both infinite signs meet, whose hull is the whole line
+            whole = np.isnan(p1 + p2 + p3 + p4)
+            if whole.any():
+                lo = np.where(whole, -math.inf, lo)
+                hi = np.where(whole, math.inf, hi)
+            return IntervalArray(lo, hi)
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            if c >= 0.0:
+                return IntervalArray(_down_each(self.lo * c), _up_each(self.hi * c))
+            return IntervalArray(_down_each(self.hi * c), _up_each(self.lo * c))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, IntervalArray):
+            if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
+                raise DomainError("division by an interval containing zero in batch")
+            q1 = self.lo / other.lo
+            q2 = self.lo / other.hi
+            q3 = self.hi / other.lo
+            q4 = self.hi / other.hi
+            return IntervalArray(
+                _down_each(_first_min(q1, q2, q3, q4)), _up_each(_first_max(q1, q2, q3, q4))
+            )
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            if c == 0.0:
+                raise DomainError("division by zero")
+            if c > 0.0:
+                return IntervalArray(_down_each(self.lo / c), _up_each(self.hi / c))
+            return IntervalArray(_down_each(self.hi / c), _up_each(self.lo / c))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return self.constant(other) / self
+        return NotImplemented
+
+    def __neg__(self):
+        return IntervalArray(-self.hi, -self.lo)
+
+    def __abs__(self):
+        lo, hi = self.lo, self.hi
+        pos = lo >= 0.0
+        neg = hi <= 0.0
+        straddle_hi = np.where(hi > -lo, hi, -lo)
+        return IntervalArray(
+            np.where(pos, lo, np.where(neg, -hi, 0.0)),
+            np.where(pos, hi, np.where(neg, -lo, straddle_hi)),
+        )
+
+    def sqrt(self) -> "IntervalArray":
+        if np.any(self.lo < -_SQRT_TOL):
+            raise DomainError("sqrt of an interval with negative values in batch")
+        lo = np.where(0.0 > self.lo, 0.0, self.lo)
+        hi = np.where(0.0 > self.hi, 0.0, self.hi)
+        return IntervalArray(_down_each(np.sqrt(lo)), _up_each(np.sqrt(hi)))
+
+    def pow_int(self, k: int) -> "IntervalArray":
+        """Entry-wise Interval.pow_int, with the same even-power image rule."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("pow_int exponent must be a non-negative integer")
+        if k == 0:
+            return self.constant(1.0)
+        if k == 1:
+            return IntervalArray(self.lo, self.hi)
+        if k % 2 == 0:
+            a_lo = np.abs(self.lo)
+            a_hi = np.abs(self.hi)
+            hi_mag = np.where(a_hi > a_lo, a_hi, a_lo)
+            lo_mag = np.where(
+                (self.lo <= 0.0) & (0.0 <= self.hi), 0.0, np.where(a_hi < a_lo, a_hi, a_lo)
+            )
+            return IntervalArray(_down_each(pow_each(lo_mag, k)), _up_each(pow_each(hi_mag, k)))
+        return IntervalArray(_down_each(pow_each(self.lo, k)), _up_each(pow_each(self.hi, k)))
 
 
 class IntervalVector:

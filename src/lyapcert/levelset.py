@@ -127,11 +127,6 @@ def level_lower_bound(
     return wctx.lower_bound_over_box(box, subdivide_to=subdivide_to)
 
 
-@dataclass
-class _SkippedSample:
-    box: HyperRect
-
-
 def estimate_level(
     wctx: WContext,
     ledger: SampleLedger,
@@ -157,23 +152,24 @@ def estimate_level(
     skipped = []
 
     def min_bound(records, refine_to=None):
-        """Two-phase minimum: cheap bounds first, refined evaluation only
-        for samples that could still lower the minimum."""
+        """Two-phase minimum: cheap bounds for all samples in one batch
+        first, refined evaluation only for samples that could still lower
+        the minimum."""
+        boxes = [rec.box() for rec in records]
         coarse = []
-        for rec in records:
-            lb = level_lower_bound(wctx, rec.box(), delta_min)
+        for box, lb in zip(boxes, wctx.lower_bounds(boxes, subdivide_to=delta_min)):
             if lb is None:
-                skipped.append(_SkippedSample(rec.box()))
-                continue
-            coarse.append((lb, rec))
+                skipped.append(box)
+            else:
+                coarse.append((lb, box))
         if refine_to is None:
             return min((lb for lb, _ in coarse), default=math.inf)
         coarse.sort(key=lambda t: t[0])
         best = math.inf
-        for lb, rec in coarse:
+        for lb, box in coarse:
             if lb >= best:
                 break  # refined bounds only increase; the minimum is settled
-            tight = level_lower_bound(wctx, rec.box(), refine_to)
+            tight = level_lower_bound(wctx, box, refine_to)
             best = min(best, tight if tight is not None else lb)
         return best
 
@@ -184,12 +180,10 @@ def estimate_level(
     Lbar = min(Lbar1, Lbar2)
 
     overlaps = False
-    if math.isfinite(Lbar):
-        for sk in skipped:
-            rng = wctx.interval_value_over_box(sk.box)
-            if rng is None or rng.lo <= Lbar:
-                overlaps = True
-                break
+    if math.isfinite(Lbar) and skipped:
+        overlaps = any(
+            rng is None or rng.lo <= Lbar for rng in wctx.interval_values_over_boxes(skipped)
+        )
 
     contains_local = None
     if local is not None and math.isfinite(Lbar):

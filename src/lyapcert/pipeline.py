@@ -184,7 +184,9 @@ def run_verify_dt(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
 
     dsys = cfg.discrete_system()
+    t = time.perf_counter()
     validate_coverage(dsys, cfg.S)
+    timings["coverage"] = time.perf_counter() - t
     vcfg = _verify_config(cfg)
     V = cfg.candidate()
 
@@ -209,7 +211,9 @@ def run_verify_dt(cfg: RunConfig) -> RunReport:
     else:
         notes.append("horizon search halted; select another candidate function")
 
+    t = time.perf_counter()
     verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min)
+    timings["audit"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
 
     return RunReport(
@@ -246,6 +250,9 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
 
     ct_sys = cfg.continuous_system()
     dsys = cfg.discrete_system()
+    t = time.perf_counter()
+    validate_coverage(ct_sys, cfg.S)
+    timings["coverage"] = time.perf_counter() - t
     M = int(prior["M_final"])
     W = WDescription(cfg.P, cfg.rho_c, M)
     vcfg = _verify_config(cfg)
@@ -270,7 +277,9 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
         )
         timings["level"] = time.perf_counter() - t
 
+    t = time.perf_counter()
     verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min)
+    timings["audit"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
 
     return RunReport(

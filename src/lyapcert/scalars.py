@@ -2,7 +2,9 @@
 
 The expression evaluator and the dual-number chain rules are written once
 against these helpers, which dispatch on the payload type: Python floats,
-numpy arrays (batched evaluation), intervals, and dual numbers.
+numpy arrays (batched evaluation), intervals, interval arrays (batched
+enclosures), and dual numbers.  Batched payloads give, entry by entry,
+the same numbers as their scalar counterparts.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-
-# matches the interval sqrt clamp: slightly negative arguments round to 0
-_SQRT_TOL = 1e-12
+from .interval import _SQRT_TOL, Interval, IntervalArray, pow_each
 
 
 def sqrt_(v):
     if isinstance(v, np.ndarray):
         if np.any(v < -_SQRT_TOL):
             raise DomainError("sqrt of negative value in batch")
-        return np.sqrt(np.maximum(v, 0.0))
+        return np.sqrt(np.where(0.0 > v, 0.0, v))
     if isinstance(v, numbers.Real):
         x = float(v)
         if x < -_SQRT_TOL:
@@ -33,7 +33,7 @@ def sqrt_(v):
 
 def pow_(v, k: int):
     if isinstance(v, np.ndarray):
-        return np.power(v, k)
+        return pow_each(v, k)
     if isinstance(v, numbers.Real):
         return float(v) ** k
     return v.pow_int(k)
@@ -56,11 +56,14 @@ def div_(a, b):
         if float(b) == 0.0:
             raise DomainError("division by zero")
         return a / b
-    return a / b  # interval / dual payloads raise DomainError themselves
+    return a / b  # interval, interval-array and dual payloads raise DomainError themselves
 
 
 def strict_sign(v):
-    """+1 / -1 when the sign of v is unambiguous, else None."""
+    """+1 / -1 when the sign of v is unambiguous, else None.
+
+    For batched payloads the sign must be the same in every entry.
+    """
     if isinstance(v, np.ndarray):
         if np.all(v > 0.0):
             return 1
@@ -70,7 +73,13 @@ def strict_sign(v):
     if isinstance(v, numbers.Real):
         x = float(v)
         return 1 if x > 0.0 else (-1 if x < 0.0 else None)
-    if hasattr(v, "lo"):  # interval
+    if isinstance(v, IntervalArray):
+        if np.all(v.lo > 0.0):
+            return 1
+        if np.all(v.hi < 0.0):
+            return -1
+        return None
+    if isinstance(v, Interval):
         if v.lo > 0.0:
             return 1
         if v.hi < 0.0:
@@ -81,8 +90,6 @@ def strict_sign(v):
 
 def lift_like(template, c):
     """Embed the constant c into the same value type as template."""
-    from .interval import Interval
-
     if isinstance(template, np.ndarray):
         return float(c)  # broadcasting handles the rest
     if isinstance(template, numbers.Real):
@@ -91,4 +98,6 @@ def lift_like(template, c):
         if isinstance(c, Interval):
             return c
         return Interval.point(float(c))
+    if isinstance(template, IntervalArray):
+        return template.constant(c)
     return template.lift(c)  # dual numbers lift recursively

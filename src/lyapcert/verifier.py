@@ -24,15 +24,25 @@ from .bounds import (
     PAIR_LINF,
     SPLIT,
     WContext,
+    assess_boxes,
     assess_branch,
+    batch_or_each,
     box_radius,
     certificate_slack,
+    group_by_branch,
     DecreaseMap,
     DerivativeAlongFlowMap,
 )
 from .errors import BranchOverflowError, CoverageError, DomainError, TieError
-from .geometry import HyperRect, SampleLedger, SampleRecord, longest_axes, refine2
-from .interval import Interval
+from .geometry import (
+    HyperRect,
+    SampleLedger,
+    SampleRecord,
+    interval_batch,
+    longest_axes,
+    refine2,
+)
+from .interval import IntervalArray
 from .localyap import LocalCertificate
 from .system import (
     CandidateV,
@@ -41,6 +51,7 @@ from .system import (
     center_trajectory_exits,
     enumerate_box_branches,
     enumerate_branches,
+    quad_form,
     reach_box,
     region_of,
     regions_intersecting,
@@ -213,31 +224,54 @@ class BoxOutcome:
     refinable: bool = True
 
 
-def verify_box(
-    ctx, box: HyperRect, method: str = SPLIT, pairing: str = PAIR_LINF
-) -> BoxOutcome:
-    """Certify one box or report why it could not be certified."""
-    try:
-        branches = ctx.box_branches(box)
-    except BranchOverflowError:
-        return BoxOutcome(False, None, None, "branch-overflow")
-    except DomainError:
-        return BoxOutcome(False, None, None, "domain-error")
-    except DomainExit:
-        # refinement shrinks the enclosure, but not a trajectory that has
-        # already left through the sample point itself
-        return BoxOutcome(
-            False, None, None, "left-domain", refinable=not ctx.center_exits(box)
-        )
-    except CoverageError:
-        return BoxOutcome(False, None, None, "no-region")
-    try:
-        assessments = [
-            assess_branch(ctx.map_for(b), box, method, pairing) for b in branches
-        ]
-    except DomainError:
-        return BoxOutcome(False, None, None, "domain-error")
+def verify_boxes(
+    ctx, boxes: Sequence[HyperRect], method: str = SPLIT, pairing: str = PAIR_LINF
+) -> list:
+    """Certify each box or report why it could not be certified.
 
+    Branch patterns are enumerated box by box; then every branch is
+    assessed for all boxes that can follow it in one batched evaluation.
+    A batch that meets a DomainError is assessed again box by box, so only
+    the boxes at fault are flagged.  Each outcome is the same whatever the
+    other boxes in the call are.
+    """
+    outcomes = [None] * len(boxes)
+    branches_of = {}
+    for k, box in enumerate(boxes):
+        try:
+            branches_of[k] = ctx.box_branches(box)
+        except BranchOverflowError:
+            outcomes[k] = BoxOutcome(False, None, None, "branch-overflow")
+        except DomainError:
+            outcomes[k] = BoxOutcome(False, None, None, "domain-error")
+        except DomainExit:
+            # refinement shrinks the enclosure, but not a trajectory that has
+            # already left through the sample point itself
+            outcomes[k] = BoxOutcome(
+                False, None, None, "left-domain", refinable=not ctx.center_exits(box)
+            )
+        except CoverageError:
+            outcomes[k] = BoxOutcome(False, None, None, "no-region")
+    assessed = {}
+    for b, keys in group_by_branch(branches_of).items():
+        fmap = ctx.map_for(b)
+        results = batch_or_each(
+            lambda bs: assess_boxes(fmap, bs, method, pairing),
+            lambda box: assess_branch(fmap, box, method, pairing),
+            [boxes[k] for k in keys],
+            DomainError,
+        )
+        assessed.update(((k, b), bb) for k, bb in zip(keys, results))
+    for k, branches in branches_of.items():
+        assessments = [assessed[k, b] for b in branches]
+        if any(a is None for a in assessments):
+            outcomes[k] = BoxOutcome(False, None, None, "domain-error")
+        else:
+            outcomes[k] = _decide(ctx, boxes[k], branches, assessments, method, pairing)
+    return outcomes
+
+
+def _decide(ctx, box, branches, assessments, method, pairing) -> BoxOutcome:
     values = [a.value for a in assessments]
     eps = _point_jump(ctx, box, branches, values)
     xi = box_radius(box, pairing)
@@ -247,6 +281,13 @@ def verify_box(
         gamma = gamma_c if method == COMBINED else min(gamma, gamma_c)
     F = float(max(values))
     return BoxOutcome(F < -gamma, F, gamma, None)
+
+
+def verify_box(
+    ctx, box: HyperRect, method: str = SPLIT, pairing: str = PAIR_LINF
+) -> BoxOutcome:
+    """Certify one box or report why it could not be certified."""
+    return verify_boxes(ctx, [box], method, pairing)[0]
 
 
 # -- parallel box evaluation --------------------------------------------------
@@ -259,16 +300,17 @@ def _init_worker(ctx, method, pairing):
     _WORKER_STATE = (ctx, method, pairing)
 
 
-def _worker_verify(box):
+def _worker_verify(boxes):
     ctx, method, pairing = _WORKER_STATE
-    return verify_box(ctx, box, method, pairing)
+    return verify_boxes(ctx, boxes, method, pairing)
 
 
 class _BoxEvaluator:
     """Maps boxes to outcomes, optionally across a process pool.
 
-    Results always come back in input order, so artifacts do not depend
-    on the worker count.
+    With a pool, each worker gets one contiguous chunk of the boxes.
+    Results always come back in input order, and no outcome depends on
+    the chunking, so artifacts do not depend on the worker count.
     """
 
     def __init__(self, ctx, method: str, pairing: str, workers: int):
@@ -286,9 +328,10 @@ class _BoxEvaluator:
 
     def map(self, boxes):
         if self.pool is None:
-            return [verify_box(self.ctx, b, self.method, self.pairing) for b in boxes]
-        chunk = max(1, len(boxes) // (4 * self.workers))
-        return list(self.pool.map(_worker_verify, boxes, chunksize=chunk))
+            return verify_boxes(self.ctx, boxes, self.method, self.pairing)
+        cuts = [len(boxes) * i // self.workers for i in range(self.workers + 1)]
+        chunks = [boxes[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+        return [out for part in self.pool.map(_worker_verify, chunks) for out in part]
 
     def close(self):
         if self.pool is not None:
@@ -408,12 +451,11 @@ def verify_continuous(
 # -- invariance assembly -------------------------------------------------------
 
 
-def _box_inside_level(box: HyperRect, P: np.ndarray, level: float) -> bool:
-    from .system import quad_form
-
-    out = quad_form(np.asarray(P, float), list(box.to_interval_vector()))
-    hi = out.hi if isinstance(out, Interval) else float(out)
-    return hi <= level
+def _boxes_inside_level(boxes: Sequence[HyperRect], P: np.ndarray, level: float) -> list:
+    """Does the interval enclosure of x'Px over each box stay <= level?"""
+    out = quad_form(np.asarray(P, float), list(interval_batch(boxes)))
+    hi = out.hi if isinstance(out, IntervalArray) else np.full(len(boxes), float(out))
+    return (hi <= level).tolist()
 
 
 def check_invariance(
@@ -427,26 +469,29 @@ def check_invariance(
 
     Every undecided box must either sit inside the local invariant set or
     be excluded from the sublevel set by its own rigorous lower bound on
-    W.  Returns (ok, gap_records).
+    W.  The tests run in this order, each as one batched pass over the
+    boxes no earlier test has cleared: inside the local ellipsoid, the
+    W bound at `subdivide_to`, at `subdivide_to / 4`, and the plain
+    interval enclosure.  Returns (ok, gap_records).
     """
-    gaps = []
-    for rec in ledger.wrong:
-        box = rec.box()
-        if local is not None and _box_inside_level(box, local.P_L, local.level_L):
-            continue
-        bound = wctx.lower_bound_over_box(box, subdivide_to=subdivide_to)
-        if bound is not None and bound >= level - 1e-12:
-            continue
-        if subdivide_to is not None:
-            bound = wctx.lower_bound_over_box(box, subdivide_to=subdivide_to / 4.0)
-            if bound is not None and bound >= level - 1e-12:
-                continue
-        enclosure = wctx.interval_value_over_box(box)
-        if enclosure is not None and enclosure.lo > level:
-            continue
-        gaps.append(rec)
-    ok = not gaps and local is not None
-    return ok, gaps
+    open_ = list(ledger.wrong)
+    if local is not None and open_:
+        inside = _boxes_inside_level([r.box() for r in open_], local.P_L, local.level_L)
+        open_ = [rec for rec, ok in zip(open_, inside) if not ok]
+    subs = [subdivide_to] if subdivide_to is None else [subdivide_to, subdivide_to / 4.0]
+    for sub in subs:
+        if open_:
+            bounds = wctx.lower_bounds([r.box() for r in open_], subdivide_to=sub)
+            open_ = [
+                rec for rec, b in zip(open_, bounds) if not (b is not None and b >= level - 1e-12)
+            ]
+    if open_:
+        ranges = wctx.interval_values_over_boxes([r.box() for r in open_])
+        open_ = [
+            rec for rec, rng in zip(open_, ranges) if not (rng is not None and rng.lo > level)
+        ]
+    ok = not open_ and local is not None
+    return ok, open_
 
 
 # -- reachability fallback ------------------------------------------------------

@@ -69,6 +69,13 @@ def run_piecewise():
 
 
 @pytest.fixture(scope="session")
+def run_piecewise_2_workers():
+    cfg = RunConfig.from_file(CONFIG_DIR / "example_piecewise.json")
+    cfg.workers = 2
+    return run_verify_dt(cfg)
+
+
+@pytest.fixture(scope="session")
 def run_3d():
     cfg = RunConfig.from_file(CONFIG_DIR / "example_3d.json")
     t0 = time.perf_counter()
@@ -398,7 +405,7 @@ def _random_expr(rng, dim):
 # -- criterion 10: determinism across worker counts ----------------------------------------
 
 
-def test_criterion10_determinism(run_2d_by_workers):
+def test_criterion10_determinism(run_2d_by_workers, run_piecewise, run_piecewise_2_workers):
     def signature(rep):
         cert = rep.certificate
         return (
@@ -412,10 +419,18 @@ def test_criterion10_determinism(run_2d_by_workers):
     sig1 = signature(run_2d_by_workers[1][0])
     sig4 = signature(run_2d_by_workers[4][0])
     sig16 = signature(run_2d_by_workers[16][0])
-    ok = sig1 == sig4 == sig16
-    _report("criterion 10", ok, f"ledgers identical across workers 1/4/16: {ok}")
+    # multi-branch groups and pool chunks of the piecewise example
+    pw1 = signature(run_piecewise[0])
+    pw2 = signature(run_piecewise_2_workers)
+    ok = sig1 == sig4 == sig16 and pw1 == pw2
+    _report(
+        "criterion 10",
+        ok,
+        f"ledgers identical across workers 1/4/16 (2D) and 1/2 (piecewise): {ok}",
+    )
     assert sig1 == sig4
     assert sig1 == sig16
+    assert pw1 == pw2
 
 
 # -- emitted-set containment: {W <= Lbar} really sits inside A union L -----------

@@ -105,6 +105,7 @@ def test_cli_verify_dt_and_export(tmp_path):
     assert doc["good"] and "c" in doc["good"][0] and "gamma" in doc["good"][0]
     assert {"Lbar1", "Lbar2", "Lbar"} <= set(doc["level"])
     assert doc["local"]["level_L"] > 0
+    assert {"coverage", "construct_A", "local", "level", "audit", "total"} <= set(doc["timings"])
 
     out_dir = tmp_path / "export"
     code = cli_main(["export", str(report_path), "--format", "csv", "--out", str(out_dir)])
@@ -120,6 +121,12 @@ def test_cli_levelset_subcommand(tmp_path):
     report_path = tmp_path / "report.json"
     assert cli_main(["verify-dt", str(cfg_path), "--out", str(report_path)]) == 0
     assert cli_main(["levelset", str(cfg_path), "--with", str(report_path)]) == 0
+    # reports written before the coverage and audit phases were timed still load
+    doc = json.loads(report_path.read_text())
+    doc["timings"] = {k: doc["timings"][k] for k in ("construct_A", "local", "level", "total")}
+    report_path.write_text(json.dumps(doc))
+    assert cli_main(["levelset", str(cfg_path), "--with", str(report_path)]) == 0
+    assert cli_main(["export", str(report_path), "--out", str(tmp_path / "export")]) == 0
 
 
 def test_cli_error_paths(tmp_path):
@@ -130,6 +137,29 @@ def test_cli_error_paths(tmp_path):
     bad["search"]["delta_min"] = -1
     bad_cfg.write_text(json.dumps(bad))
     assert cli_main(["verify-dt", str(bad_cfg)]) == 1
+
+
+def _malformed(kind):
+    doc = copy.deepcopy(MINIMAL)
+    if kind == "dim-not-a-number":
+        doc["system"]["dim"] = "two"
+    elif kind == "no-regions":
+        del doc["system"]["regions"]
+    elif kind == "not-an-object":
+        doc = [doc]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["dim-not-a-number", "no-regions", "not-an-object"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
+    doc = _malformed(kind)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["verify-dt", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_overrides(tmp_path):
@@ -180,6 +210,8 @@ def test_cli_verify_ct_mismatched_report(tmp_path):
         ["verify-ct", str(cfg_path), "--with", str(rep_path), "--out", str(out_path)]
     )
     assert code == 0
+    timings = json.loads(out_path.read_text())["timings"]
+    assert {"coverage", "construct_Ac", "level", "audit", "total"} <= set(timings)
     # a report from a different config is refused
     other = copy.deepcopy(ct_cfg)
     other["search"]["delta_min"] = 0.02
