@@ -29,8 +29,17 @@ import numpy as np
 from .ad import Dual, Dual2, dual_seeds, dual2_seeds
 from .errors import LyapcertError
 from .geometry import HyperRect, interval_batch, refine2
-from .interval import Interval, IntervalArray, IntervalMatrix
-from .system import CandidateV, DomainExit, PiecewiseSystem, apply_field, quad_form
+from .interval import Interval, IntervalArray, IntervalMatrix, require_no_nan
+from .system import (
+    CandidateV,
+    DomainExit,
+    PiecewiseSystem,
+    _one,
+    apply_field,
+    enumerate_boxes_branches,
+    point_trajectories,
+    quad_form,
+)
 
 SPLIT = "split"
 COMBINED = "combined"
@@ -298,13 +307,6 @@ class BranchBounds:
     combined: Optional[BoundCoefficients]
 
 
-def _require_no_nan(*arrays):
-    # Interval refuses NaN endpoints (inf - inf after an overflow), which
-    # stops the scalar path; a batched result refuses them the same way
-    if any(np.isnan(a).any() for a in arrays):
-        raise ValueError("interval endpoints must not be NaN")
-
-
 def _values_and_grads(fmap, centers: np.ndarray):
     """F and grad F at every row of `centers` (shape (N, n)), as float arrays."""
     N, n = centers.shape
@@ -343,8 +345,8 @@ def assess_boxes(
             grad = [IntervalArray.point(grads[:, j]) for j in range(n)]
             rows = [[hess[:, i, j] for j in range(n)] for i in range(n)]
             combined = np.column_stack(_combined_magnitudes(grad, rows, offs))
-            _require_no_nan(combined)
-    _require_no_nan(hess.lo, hess.hi)
+            require_no_nan(combined)
+    require_no_nan(hess.lo, hess.hi)
     out = []
     for k, box in enumerate(boxes):
         split = BoundCoefficients(
@@ -368,7 +370,7 @@ def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
     """(lo, hi) of the map's interval enclosure over each box, in one batch."""
     with np.errstate(over="ignore", invalid="ignore"):
         rng = fmap.interval_value(interval_batch(boxes))
-    _require_no_nan(rng.lo, rng.hi)
+    require_no_nan(rng.lo, rng.hi)
     return list(zip(rng.lo.tolist(), rng.hi.tolist()))
 
 
@@ -405,16 +407,23 @@ def group_by_branch(branches_of: dict) -> dict:
 # -- W as a bounded map --------------------------------------------------------
 
 
+def w_point_values(dsys: PiecewiseSystem, V: CandidateV, M: int, X) -> list:
+    """W(x) = sum_{j<M} V(G^j(x)) following the literal dynamics, at every
+    row of X: the float, or the error the row's own trajectory raises.
+
+    The trajectories step together; the V terms are V.value of each state
+    row, summed in order, so every entry is bit for bit its one-point value.
+    """
+    states, errors = point_trajectories(dsys, X, M - 1)
+    total = np.array([V.value(x) for x in states[0]])
+    for state in states[1:]:
+        total += [V.value(x) for x in state]
+    return [errors.get(k, w) for k, w in enumerate(total.tolist())]
+
+
 def w_point_value(dsys: PiecewiseSystem, V: CandidateV, M: int, x) -> float:
     """W(x) = sum_{j<M} V(G^j(x)) following the literal dynamics."""
-    from .system import resolve_region, step
-
-    state = np.asarray(x, dtype=float)
-    total = V.value(state)
-    for _ in range(M - 1):
-        state = step(dsys, state, resolve_region(dsys, state))
-        total += V.value(state)
-    return float(total)
+    return _one(w_point_values(dsys, V, M, [x])[0])
 
 
 # failures that leave a W bound or enclosure of a box undetermined
@@ -443,10 +452,9 @@ class WContext:
     def value(self, x) -> float:
         return w_point_value(self.dsys, self.V, self.M, x)
 
-    def box_branches(self, box: HyperRect):
-        from .system import enumerate_box_branches
-
-        return enumerate_box_branches(self.dsys, box, self.M - 1, self.domain, self.cap)
+    def values(self, X) -> list:
+        """W at every row of X, or the error of that row (w_point_values)."""
+        return w_point_values(self.dsys, self.V, self.M, X)
 
     def map_for(self, branch):
         return SumOfIteratesMap(self.dsys, self.V, self.M, branch)
@@ -495,12 +503,10 @@ class WContext:
         (lo, hi) enclosure and, given a method, its assessment, one batch
         per branch; None marks a failed evaluation, a missing key a box
         whose branches could not be enumerated."""
-        branches_of = {}
-        for k, box in enumerate(boxes):
-            try:
-                branches_of[k] = self.box_branches(box)
-            except _W_ERRORS:
-                pass
+        enumerated = enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
+        branches_of = {
+            k: seqs for k, seqs in enumerate(enumerated) if not isinstance(seqs, _W_ERRORS)
+        }
         found = {}
         for seq, keys in group_by_branch(branches_of).items():
             fmap = self.map_for(seq)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import RunConfig
 from .errors import ConfigError, LyapcertError
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
             for p in paths:
                 print(p)
             return 0
-    except (LyapcertError, OSError, json.JSONDecodeError) as exc:
+    except (LyapcertError, OSError, json.JSONDecodeError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

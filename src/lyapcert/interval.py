@@ -236,6 +236,13 @@ def _up_each(x: np.ndarray) -> np.ndarray:
     return -_down_each(-x)
 
 
+def require_no_nan(*arrays):
+    """Refuse NaN endpoints (inf - inf after an overflow) with the
+    ValueError that Interval raises when it is given one."""
+    if any(np.isnan(a).any() for a in arrays):
+        raise ValueError("interval endpoints must not be NaN")
+
+
 def _first_min(first, *rest):
     """Entry-wise min(...) with Python's choice among equal values (the first)."""
     out = first
@@ -261,9 +268,12 @@ class IntervalArray:
     sqrt of a negative range) raise ``DomainError`` for the whole array.
 
     Unlike ``Interval``, the constructor does not check for NaN endpoints
-    (inf - inf after an overflow); the batched drivers in ``bounds`` refuse
-    a result that holds one.  The arrays are never modified in place, so
-    results may share them.
+    (inf - inf after an overflow).  Instead no operation turns a NaN
+    endpoint into a number: those that could (``*``, ``/``, ``abs``,
+    ``pow_int``) raise ValueError for an operand that holds one, and the
+    batched drivers refuse a result that holds one.  So a batch raises
+    ValueError whenever the scalar path would for one of its entries.
+    The arrays are never modified in place, so results may share them.
     Indexing and iteration run over the first axis: an array of shape
     (n, N) is a batch of N boxes seen as n coordinate intervals.
     """
@@ -338,6 +348,7 @@ class IntervalArray:
             # products of both infinite signs meet, whose hull is the whole line
             whole = np.isnan(p1 + p2 + p3 + p4)
             if whole.any():
+                require_no_nan(self.lo, self.hi, other.lo, other.hi)
                 lo = np.where(whole, -math.inf, lo)
                 hi = np.where(whole, math.inf, hi)
             return IntervalArray(lo, hi)
@@ -352,6 +363,7 @@ class IntervalArray:
 
     def __truediv__(self, other):
         if isinstance(other, IntervalArray):
+            require_no_nan(self.lo, self.hi, other.lo, other.hi)
             if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
                 raise DomainError("division by an interval containing zero in batch")
             q1 = self.lo / other.lo
@@ -380,6 +392,7 @@ class IntervalArray:
 
     def __abs__(self):
         lo, hi = self.lo, self.hi
+        require_no_nan(lo, hi)
         pos = lo >= 0.0
         neg = hi <= 0.0
         straddle_hi = np.where(hi > -lo, hi, -lo)
@@ -399,6 +412,7 @@ class IntervalArray:
         """Entry-wise Interval.pow_int, with the same even-power image rule."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("pow_int exponent must be a non-negative integer")
+        require_no_nan(self.lo, self.hi)
         if k == 0:
             return self.constant(1.0)
         if k == 1:

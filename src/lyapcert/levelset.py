@@ -211,7 +211,11 @@ def _local_set_inside_level(wctx: WContext, local, Lbar: float, samples: int = 5
     # map the unit sphere onto the ellipsoid boundary {x'Px = level}
     L = np.linalg.cholesky(np.linalg.inv(P))
     pts = math.sqrt(local.level_L) * (U @ L.T)
-    for x in pts:
-        if wctx.value(x) > Lbar:
+    # all points are evaluated at once; a point's error is raised only if
+    # the audit reaches that point, i.e. before the first point above Lbar
+    for w in wctx.values(pts):
+        if isinstance(w, Exception):
+            raise w
+        if w > Lbar:
             return False
     return True

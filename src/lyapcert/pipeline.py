@@ -389,18 +389,18 @@ def export_plot_data(report: dict, out_dir, fmt: str = "csv", grid: int = 120):
         lo, hi = cfg.S.lower, cfg.S.upper
         xs = np.linspace(lo[0], hi[0], grid)
         ys = np.linspace(lo[1], hi[1], grid) if cfg.dim > 1 else [0.0]
+        grid_xy = [(x, y) for x in xs for y in ys]
+        pts = np.zeros((len(grid_xy), cfg.dim))
+        pts[:, 0] = [x for x, _ in grid_xy]
+        if cfg.dim > 1:
+            pts[:, 1] = [y for _, y in grid_xy]
         rows = []
-        for x in xs:
-            for y in ys:
-                pt = np.zeros(cfg.dim)
-                pt[0] = x
-                if cfg.dim > 1:
-                    pt[1] = y
-                try:
-                    w = wctx.value(pt)
-                except LyapcertError:
-                    continue
-                rows.append([x, y, w, int(w <= lbar)])
+        for (x, y), w in zip(grid_xy, wctx.values(pts)):
+            if isinstance(w, LyapcertError):
+                continue  # no W value at this point
+            if isinstance(w, Exception):
+                raise w
+            rows.append([x, y, w, int(w <= lbar)])
         paths.append(
             _write_table(out_dir, "levelset", ["x1", "x2", "W", "inside"], rows, fmt)
         )

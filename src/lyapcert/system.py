@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BranchOverflowError, CoverageError, DomainError, TieError
+from .errors import BranchOverflowError, CoverageError, DomainError, LyapcertError, TieError
 from .expr import Expr, VectorField, eval_any, eval_interval, eval_real, shift_vars
 from .expr import Bin, Const, Var
-from .geometry import HyperRect
-from .interval import Interval, IntervalVector
+from .geometry import HyperRect, interval_batch
+from .interval import Interval, IntervalArray, IntervalVector, require_no_nan
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -181,7 +181,7 @@ def resolve_region(sys: PiecewiseSystem, x) -> int:
     raise TieError(f"ambiguous region at {list(map(float, x))}: candidates {closure}")
 
 
-def regions_intersecting(sys: PiecewiseSystem, box, literal: bool = False) -> tuple:
+def regions_intersecting(sys: PiecewiseSystem, box: HyperRect, literal: bool = False) -> tuple:
     """Regions whose guards are interval-satisfiable over the box.
 
     May over-approximate; that direction is sound for branch coverage.
@@ -189,17 +189,7 @@ def regions_intersecting(sys: PiecewiseSystem, box, literal: bool = False) -> tu
     can actually follow its dynamics (strict guards exclude a box that
     merely touches their boundary).
     """
-    ivec = box.to_interval_vector() if isinstance(box, HyperRect) else box
-    out = []
-    for i, region in enumerate(sys.regions):
-        ok = True
-        for g in region.guards:
-            if not g.feasible_interval(eval_interval(g.expr, ivec), literal):
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return tuple(out)
+    return _one(regions_intersecting_boxes(sys, [box], literal)[0])
 
 
 # -- iteration ---------------------------------------------------------------
@@ -332,15 +322,6 @@ def translate_system(sys: PiecewiseSystem, x0) -> PiecewiseSystem:
     return PiecewiseSystem(sys.n, sys.mode, tuple(regions))
 
 
-def validate_coverage(sys: PiecewiseSystem, S: HyperRect, samples: int = 1000, seed: int = 0):
-    """Sampled check that the regions cover S with at most boundary ties."""
-    rng = np.random.default_rng(seed)
-    lo, hi = S.lower, S.upper
-    X = rng.uniform(lo, hi, size=(samples, S.n))
-    for x in X:
-        region_of(sys, x)  # raises CoverageError on a gap
-
-
 # -- interval paths ----------------------------------------------------------
 
 
@@ -373,27 +354,7 @@ def enumerate_box_branches(
     any point of the box (a superset, which is the sound direction).
     Intermediate enclosures must stay inside `domain` when given.
     """
-    _require_discrete(sys)
-    dom = domain.to_interval_vector() if domain is not None else None
-    states = [(box.to_interval_vector(), ())]
-    for step_idx in range(M):
-        nxt = []
-        for ivec, seq in states:
-            for idx in regions_intersecting(sys, ivec, literal=True):
-                image = interval_step(sys, idx, ivec)
-                if dom is not None and step_idx < M - 1 and not dom.encloses(image):
-                    raise DomainExit(
-                        f"state enclosure left the declared domain at step {step_idx + 1}"
-                    )
-                nxt.append((image, seq + (idx,)))
-                if len(nxt) > cap:
-                    raise BranchOverflowError(
-                        f"more than {cap} branch sequences over the box"
-                    )
-        if not nxt:
-            raise CoverageError("box enclosure intersects no region")
-        states = nxt
-    return sorted(set(seq for _, seq in states))
+    return _one(enumerate_boxes_branches(sys, [box], M, domain, cap)[0])
 
 
 class DomainExit(Exception):
@@ -425,3 +386,273 @@ def center_trajectory_exits(
 def _require_discrete(sys: PiecewiseSystem):
     if sys.mode != DISCRETE:
         raise ValueError("operation requires a discrete-time system")
+
+
+# -- batched walks -------------------------------------------------------------
+#
+# Boxes (the entries of an IntervalArray) and points (the rows of a float
+# array) are walked together.  Each item gets bit for bit the result, or
+# the error, that its own one-item walk gives, whatever else is in the
+# batch: the numbers come from the same operations, and failures are
+# checked in the one-item order.
+
+
+def _one(result):
+    """The result of a one-item batched call; raises the item's error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _region_masks(sys: PiecewiseSystem, count: int, guard_values, holds):
+    """Per region and item, do the region's guards hold?  A bool array
+    (regions, count), and {item: error} for items whose guard evaluation
+    failed.
+
+    `guard_values(expr, items)` gives a guard's values at some items and
+    {position: error}; `holds(guard, values)` tests them.  As in the
+    one-item walks, a guard is evaluated only where the earlier guards of
+    its region hold, and an item stops at its first error.
+    """
+    masks = np.zeros((len(sys.regions), count), bool)
+    live = np.ones(count, bool)
+    errors = {}
+    for r, region in enumerate(sys.regions):
+        mask = live.copy()
+        for g in region.guards:
+            sel = np.flatnonzero(mask)
+            if not sel.size:
+                break
+            values, errs = guard_values(g.expr, sel)
+            mask[sel] = holds(g, values)
+            for j, exc in errs.items():
+                errors[int(sel[j])] = exc
+                mask[sel[j]] = live[sel[j]] = False
+        masks[r] = mask
+    return masks & live, errors
+
+
+# -- over boxes
+
+
+def _enclose(exprs, ivals: IntervalArray):
+    """Interval images of `exprs` over each entry of `ivals` (shape (n, K)).
+
+    Returns an IntervalArray of shape (len(exprs), K) and {entry: error}.
+    When the batch leaves a domain, each entry is evaluated again over
+    Intervals, so that a failing entry gets the DomainError of its own
+    evaluation.  A NaN endpoint raises ValueError, as Interval does.
+    """
+    K = ivals.lo.shape[1]
+    lo = np.zeros((len(exprs), K))
+    hi = np.zeros_like(lo)
+    errors = {}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+            for i, e in enumerate(exprs):
+                out = eval_any(e, list(ivals))
+                if isinstance(out, IntervalArray):
+                    lo[i], hi[i] = out.lo, out.hi
+                else:
+                    lo[i] = hi[i] = float(out)
+    except DomainError:
+        for j in range(K):
+            box = IntervalVector.from_bounds(ivals.lo[:, j], ivals.hi[:, j])
+            try:
+                for i, e in enumerate(exprs):
+                    rng = eval_interval(e, box)
+                    lo[i, j], hi[i, j] = rng.lo, rng.hi
+            except DomainError as exc:
+                errors[j] = exc
+    require_no_nan(lo, hi)
+    return IntervalArray(lo, hi), errors
+
+
+def _feasible_regions(sys: PiecewiseSystem, ivals: IntervalArray, literal: bool):
+    """_region_masks over the entries of `ivals` by interval feasibility."""
+
+    def guard_values(expr, sel):
+        rng, errors = _enclose([expr], ivals[:, sel])
+        return rng[0], errors
+
+    return _region_masks(
+        sys, ivals.lo.shape[1], guard_values, lambda g, rng: g.feasible_interval(rng, literal)
+    )
+
+
+def regions_intersecting_boxes(
+    sys: PiecewiseSystem, boxes: Sequence[HyperRect], literal: bool = False
+) -> list:
+    """regions_intersecting for every box: a tuple of regions, or the error."""
+    masks, errors = _feasible_regions(sys, interval_batch(boxes), literal)
+    return [
+        errors[k] if k in errors else tuple(np.flatnonzero(masks[:, k]).tolist())
+        for k in range(len(boxes))
+    ]
+
+
+def enumerate_boxes_branches(
+    sys: PiecewiseSystem,
+    boxes: Sequence[HyperRect],
+    M: int,
+    domain: Optional[HyperRect] = None,
+    cap: int = 64,
+) -> list:
+    """enumerate_box_branches for every box, in one interval walk.
+
+    The state enclosures of the boxes that share a branch sequence step as
+    one IntervalArray.  Sequences are visited in sorted order, which is the
+    one-box order of a box's states, and a box drops out at its first
+    failure.  Entry k is the sorted list of sequences of boxes[k], or the
+    error enumerate_box_branches raises for it.
+    """
+    _require_discrete(sys)
+    failed = np.zeros(len(boxes), bool)
+    out = [[] for _ in boxes]
+
+    def fail(k, exc):
+        failed[k] = True
+        out[k] = exc
+
+    groups = {(): (np.arange(len(boxes)), interval_batch(boxes))} if boxes else {}
+    for step_idx in range(M):
+        check_domain = domain is not None and step_idx < M - 1
+        count = np.zeros(len(boxes), int)
+        nxt = {}
+        for seq in sorted(groups):
+            keys, ivals = groups[seq]
+            live = ~failed[keys]
+            keys, ivals = keys[live], ivals[:, live]
+            masks, errors = _feasible_regions(sys, ivals, literal=True)
+            for j, exc in errors.items():
+                fail(keys[j], exc)
+            for idx, mask in enumerate(masks):
+                sel = np.flatnonzero(mask & ~failed[keys])
+                if not sel.size:
+                    continue
+                image, errors = _enclose(sys.regions[idx].field.components, ivals[:, sel])
+                ks = keys[sel]
+                for j, exc in errors.items():
+                    fail(ks[j], exc)
+                if check_domain:
+                    inside = np.all(
+                        (domain.lower[:, None] <= image.lo) & (image.hi <= domain.upper[:, None]),
+                        axis=0,
+                    )
+                    for k in ks[~inside & ~failed[ks]]:
+                        fail(k, DomainExit(
+                            f"state enclosure left the declared domain at step {step_idx + 1}"
+                        ))
+                ok = ~failed[ks]
+                count[ks[ok]] += 1
+                over = ok & (count[ks] > cap)
+                for k in ks[over]:
+                    fail(k, BranchOverflowError(f"more than {cap} branch sequences over the box"))
+                keep = ok & ~over
+                nxt[seq + (idx,)] = (ks[keep], image[:, keep])
+        for k in np.flatnonzero(~failed & (count == 0)):
+            fail(k, CoverageError("box enclosure intersects no region"))
+        groups = nxt
+    for seq in sorted(groups):
+        for k in groups[seq][0]:
+            if not failed[k]:
+                out[k].append(seq)
+    return out
+
+
+# -- over points
+
+
+def _eval_points(exprs, X: np.ndarray):
+    """Values of `exprs` at the rows of X (shape (N, n)), as an array
+    (len(exprs), N), and {row: error}.
+
+    Float arrays round like eval_real.  When the batch fails, each row is
+    evaluated again with eval_real, so that a failing row gets the error
+    of its own evaluation (a DomainError, or the OverflowError of `**`).
+    """
+    vals = np.zeros((len(exprs), X.shape[0]))
+    errors = {}
+    try:
+        with np.errstate(all="ignore"):
+            for i, e in enumerate(exprs):
+                vals[i] = eval_any(e, list(X.T))
+    except (DomainError, OverflowError):
+        for j, x in enumerate(X.tolist()):
+            try:
+                vals[:, j] = [eval_real(e, x) for e in exprs]
+            except (DomainError, OverflowError) as exc:
+                errors[j] = exc
+    return vals, errors
+
+
+def _closure_regions(sys: PiecewiseSystem, X: np.ndarray):
+    """region_of at the rows of X, as _region_masks."""
+
+    def guard_values(expr, sel):
+        vals, errors = _eval_points([expr], X[sel])
+        return vals[0], errors
+
+    return _region_masks(sys, len(X), guard_values, lambda g, v: g.holds_closure(v))
+
+
+def _resolve_points(sys: PiecewiseSystem, X: np.ndarray):
+    """resolve_region at every row of X: region indices and {row: error}."""
+    closure, errors = _closure_regions(sys, X)
+    idx = closure.argmax(axis=0) if len(closure) else np.zeros(len(X), int)
+    for k in np.flatnonzero(closure.sum(axis=0) != 1).tolist():
+        if k in errors:
+            continue
+        try:  # no region, or a boundary: as resolve_region decides it
+            idx[k] = resolve_region(sys, X[k])
+        except LyapcertError as exc:
+            errors[k] = exc
+    return idx, errors
+
+
+def validate_coverage(sys: PiecewiseSystem, S: HyperRect, samples: int = 1000, seed: int = 0):
+    """Sampled check that the regions cover S with at most boundary ties.
+
+    Raises the error region_of raises at the first sample point that has one.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(S.lower, S.upper, size=(samples, S.n))
+    closure, errors = _closure_regions(sys, X)
+    for k in range(samples):
+        if k in errors:
+            raise errors[k]
+        if not closure[:, k].any():
+            raise CoverageError(f"state {X[k].tolist()} is covered by no region")
+
+
+def point_trajectories(sys: PiecewiseSystem, X, steps: int):
+    """The literal trajectories of the rows of X, stepped together.
+
+    Returns the states [X_0, ..., X_steps] (arrays of shape (N, n)) and
+    {row: error}, the first error resolve_region or step raises along
+    that row's own trajectory; the later states of such a row are
+    meaningless.  Rows step grouped by region, with the field evaluated
+    over float columns.
+    """
+    if steps > 0:
+        _require_discrete(sys)
+    state = np.array(X, dtype=float)
+    states = [state]
+    errors = {}
+    failed = np.zeros(len(state), bool)
+    for _ in range(steps):
+        live = np.flatnonzero(~failed)
+        idx, errs = _resolve_points(sys, state[live])
+        errors.update((int(live[j]), exc) for j, exc in errs.items())
+        resolved = np.ones(live.size, bool)
+        resolved[list(errs)] = False
+        nxt = np.zeros_like(state)
+        for r in np.unique(idx[resolved]).tolist():
+            rows = live[resolved & (idx == r)]
+            vals, errs = _eval_points(sys.regions[r].field.components, state[rows])
+            nxt[rows] = vals.T
+            errors.update((int(rows[j]), exc) for j, exc in errs.items())
+        failed[list(errors)] = True
+        state = nxt
+        states.append(state)
+    return states, errors

@@ -49,12 +49,14 @@ from .system import (
     DomainExit,
     PiecewiseSystem,
     center_trajectory_exits,
-    enumerate_box_branches,
+    enumerate_box_branches,  # noqa: F401  (importable from here as well)
+    enumerate_boxes_branches,
     enumerate_branches,
     quad_form,
     reach_box,
     region_of,
     regions_intersecting,
+    regions_intersecting_boxes,
 )
 
 
@@ -138,8 +140,8 @@ class DecreaseContext:
         self.domain = domain
         self.cap = cap
 
-    def box_branches(self, box: HyperRect):
-        return enumerate_box_branches(self.sys, box, self.M, self.domain, self.cap)
+    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+        return enumerate_boxes_branches(self.sys, boxes, self.M, self.domain, self.cap)
 
     def map_for(self, branch):
         return DecreaseMap(self.sys, self.V, self.M, branch)
@@ -170,15 +172,26 @@ class FlowDerivativeContext:
         self.domain = domain
         self.cap = cap
 
-    def box_branches(self, box: HyperRect):
-        regions = regions_intersecting(self.ct_sys, box, literal=True)
-        seqs = enumerate_box_branches(self.dt_sys, box, self.M - 1, self.domain, self.cap)
-        pairs = [(r, s) for r in regions for s in seqs]
-        if len(pairs) > self.cap:
-            raise BranchOverflowError(
-                f"{len(pairs)} region/branch combinations exceed cap {self.cap}"
-            )
-        return pairs
+    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+        """(flow region, sequence) pairs per box, or the box's error: a
+        flow-region guard error first, then the sequence enumeration's,
+        then the cap on the pairs."""
+        out = regions_intersecting_boxes(self.ct_sys, boxes, literal=True)
+        keys = [k for k, regions in enumerate(out) if not isinstance(regions, Exception)]
+        seqs_of = enumerate_boxes_branches(
+            self.dt_sys, [boxes[k] for k in keys], self.M - 1, self.domain, self.cap
+        )
+        for k, seqs in zip(keys, seqs_of):
+            if isinstance(seqs, Exception):
+                out[k] = seqs
+                continue
+            pairs = [(r, s) for r in out[k] for s in seqs]
+            if len(pairs) > self.cap:
+                pairs = BranchOverflowError(
+                    f"{len(pairs)} region/branch combinations exceed cap {self.cap}"
+                )
+            out[k] = pairs
+        return out
 
     def map_for(self, branch):
         region, seq = branch
@@ -229,29 +242,30 @@ def verify_boxes(
 ) -> list:
     """Certify each box or report why it could not be certified.
 
-    Branch patterns are enumerated box by box; then every branch is
-    assessed for all boxes that can follow it in one batched evaluation.
+    Branch patterns are enumerated for all boxes in one interval walk;
+    then every branch is assessed for all boxes that can follow it in one
+    batched evaluation.
     A batch that meets a DomainError is assessed again box by box, so only
     the boxes at fault are flagged.  Each outcome is the same whatever the
     other boxes in the call are.
     """
     outcomes = [None] * len(boxes)
     branches_of = {}
-    for k, box in enumerate(boxes):
-        try:
-            branches_of[k] = ctx.box_branches(box)
-        except BranchOverflowError:
+    for k, (box, branches) in enumerate(zip(boxes, ctx.boxes_branches(boxes))):
+        if isinstance(branches, BranchOverflowError):
             outcomes[k] = BoxOutcome(False, None, None, "branch-overflow")
-        except DomainError:
+        elif isinstance(branches, DomainError):
             outcomes[k] = BoxOutcome(False, None, None, "domain-error")
-        except DomainExit:
+        elif isinstance(branches, DomainExit):
             # refinement shrinks the enclosure, but not a trajectory that has
             # already left through the sample point itself
             outcomes[k] = BoxOutcome(
                 False, None, None, "left-domain", refinable=not ctx.center_exits(box)
             )
-        except CoverageError:
+        elif isinstance(branches, CoverageError):
             outcomes[k] = BoxOutcome(False, None, None, "no-region")
+        else:
+            branches_of[k] = branches
     assessed = {}
     for b, keys in group_by_branch(branches_of).items():
         fmap = ctx.map_for(b)

@@ -139,6 +139,7 @@ def test_criterion2_local_goldens():
 # -- criterion 3: 2D end-to-end -------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion3_2d_end_to_end(run_2d_by_workers):
     rep, elapsed = run_2d_by_workers[1]
     lv = rep.level
@@ -195,6 +196,7 @@ def test_criterion4_level_band(run_piecewise):
 # -- criterion 5: 3D end-to-end ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion5_3d(run_3d):
     rep_dt, rep_ct, elapsed = run_3d
     lv_dt, lv_ct = rep_dt.level, rep_ct.level
@@ -275,6 +277,7 @@ def _soundness_of_certified(sys_, P, rho, M, cert, rng, n_pts=1000):
     return violations
 
 
+@pytest.mark.slow
 def test_criterion7_soundness(run_2d_by_workers, run_piecewise, run_3d):
     rng = np.random.default_rng(99)
     total_violations = 0
@@ -324,6 +327,7 @@ def test_criterion7_soundness(run_2d_by_workers, run_piecewise, run_3d):
 # -- criterion 8: bound soundness ------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion8_bound_soundness():
     rng = np.random.default_rng(123)
     n_cases = 200

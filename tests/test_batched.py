@@ -1,11 +1,14 @@
 """Batched evaluation against the scalar Interval path, bit for bit.
 
 The batched code (IntervalArray payloads, assess_boxes, verify_boxes,
-WContext.lower_bounds) must give every box exactly the numbers the
-one-box Interval evaluation gives, whatever else is in the batch.  The
-scalar reference below is the per-box assessment written directly over
-Interval payloads: the point value and gradient from float duals, the
-Hessian from IntervalVector duals, then the same reductions.
+WContext.lower_bounds, the batched branch enumeration and the batched
+point walks) must give every box and point exactly the numbers, or the
+error, that the one-item evaluation gives, whatever else is in the batch.
+The scalar references below are the per-item code written directly over
+Interval and float payloads: the box walk that forks on interval guards,
+the point walk through resolve_region and step, and the per-box
+assessment (the point value and gradient from float duals, the Hessian
+from IntervalVector duals, then the same reductions).
 """
 
 import math
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapcert import CandidateV, HyperRect, RunConfig
+from lyapcert import CandidateV, HyperRect, RunConfig, parse_expr
 from lyapcert.bounds import (
     BEST,
     COMBINED,
@@ -38,12 +41,14 @@ from lyapcert.bounds import (
     remainder_bound,
 )
 from lyapcert.errors import BranchOverflowError, CoverageError, DomainError, LyapcertError
+from lyapcert.expr import eval_interval
 from lyapcert.geometry import interval_batch, refine2
 from lyapcert.interval import Interval, IntervalArray
-from lyapcert.system import DomainExit, euler_discretize
+from lyapcert.system import DomainExit, euler_discretize, interval_step
 from lyapcert.verifier import (
     BoxOutcome,
     DecreaseContext,
+    FlowDerivativeContext,
     _point_jump,
     verify_box,
     verify_boxes,
@@ -74,6 +79,80 @@ def same(a, b):
 # -- the scalar reference ------------------------------------------------------
 
 
+def scalar_regions_intersecting(sys_, ivec, literal=False):
+    out = []
+    for i, region in enumerate(sys_.regions):
+        if all(g.feasible_interval(eval_interval(g.expr, ivec), literal) for g in region.guards):
+            out.append(i)
+    return tuple(out)
+
+
+def scalar_box_branches(sys_, box, M, domain=None, cap=64):
+    """The one-box walk: fork on every region whose guards are feasible."""
+    dom = domain.to_interval_vector() if domain is not None else None
+    states = [(box.to_interval_vector(), ())]
+    for step_idx in range(M):
+        nxt = []
+        for ivec, seq in states:
+            for idx in scalar_regions_intersecting(sys_, ivec, literal=True):
+                image = interval_step(sys_, idx, ivec)
+                if dom is not None and step_idx < M - 1 and not dom.encloses(image):
+                    raise DomainExit(
+                        f"state enclosure left the declared domain at step {step_idx + 1}"
+                    )
+                nxt.append((image, seq + (idx,)))
+                if len(nxt) > cap:
+                    raise BranchOverflowError(f"more than {cap} branch sequences over the box")
+        if not nxt:
+            raise CoverageError("box enclosure intersects no region")
+        states = nxt
+    return sorted(set(seq for _, seq in states))
+
+
+def scalar_ctx_branches(ctx, box):
+    """The branches of one box under a verification or W context."""
+    if isinstance(ctx, FlowDerivativeContext):
+        regions = scalar_regions_intersecting(ctx.ct_sys, box.to_interval_vector(), literal=True)
+        seqs = scalar_box_branches(ctx.dt_sys, box, ctx.M - 1, ctx.domain, ctx.cap)
+        pairs = [(r, s) for r in regions for s in seqs]
+        if len(pairs) > ctx.cap:
+            raise BranchOverflowError(
+                f"{len(pairs)} region/branch combinations exceed cap {ctx.cap}"
+            )
+        return pairs
+    if isinstance(ctx, WContext):
+        return scalar_box_branches(ctx.dsys, box, ctx.M - 1, ctx.domain, ctx.cap)
+    return scalar_box_branches(ctx.sys, box, ctx.M, ctx.domain, ctx.cap)
+
+
+def scalar_w_point(dsys, V, M, x):
+    from lyapcert.system import resolve_region, step
+
+    state = np.asarray(x, dtype=float)
+    total = V.value(state)
+    for _ in range(M - 1):
+        state = step(dsys, state, resolve_region(dsys, state))
+        total += V.value(state)
+    return float(total)
+
+
+def outcome_of(fn, *args):
+    """fn(*args), or the exception it raises."""
+    try:
+        return fn(*args)
+    except (LyapcertError, DomainExit, OverflowError) as exc:
+        return exc
+
+
+def same_result(got, ref):
+    """Equal results, or errors of the same type with the same message."""
+    if isinstance(ref, Exception):
+        return type(got) is type(ref) and str(got) == str(ref)
+    if isinstance(ref, float):
+        return isinstance(got, float) and same(got, ref)
+    return got == ref
+
+
 def scalar_assess(fmap, box, method, pairing):
     value, grad = fmap.value_and_grad(box.center)
     hess = fmap.interval_hessian(box.to_interval_vector())
@@ -88,7 +167,7 @@ def scalar_assess(fmap, box, method, pairing):
 
 def scalar_verify(ctx, box, method, pairing):
     try:
-        branches = ctx.box_branches(box)
+        branches = scalar_ctx_branches(ctx, box)
     except BranchOverflowError:
         return BoxOutcome(False, None, None, "branch-overflow")
     except DomainError:
@@ -128,7 +207,7 @@ def scalar_lower_bound(wctx, box, method=SPLIT, subdivide_to=None):
             return best
     best = None
     try:
-        branches = wctx.box_branches(box)
+        branches = scalar_ctx_branches(wctx, box)
     except (LyapcertError, DomainExit):
         return None
     xi = box_radius(box, wctx.pairing)
@@ -462,7 +541,7 @@ def test_w_lower_bounds_match_scalar(switched_sys):
         ranges = wctx.interval_values_over_boxes(boxes)
         for box, got in zip(boxes, ranges):
             ref = None
-            for seq in wctx.box_branches(box):
+            for seq in scalar_ctx_branches(wctx, box):
                 rng = wctx.map_for(seq).interval_value(box.to_interval_vector())
                 ref = rng if ref is None else ref.hull(rng)
             one = wctx.interval_values_over_boxes([box])[0]
@@ -494,7 +573,304 @@ def test_powertrain_batch_with_domain_errors():
     for box, out in zip(boxes, batched):
         if out.flag == "domain-error":
             try:
-                enumerated.append(ctx.box_branches(box))
+                enumerated.append(scalar_ctx_branches(ctx, box))
             except DomainError:
                 pass
     assert enumerated
+
+
+# -- batched branch enumeration -------------------------------------------------------
+
+
+def _two_piece(up_rel, down_rel):
+    """switched_sys with the strictness of its two guards on x2 chosen."""
+    from lyapcert.system import Guard, PiecewiseSystem, Region
+
+    x2 = parse_expr("x2", 2)
+    up = Region((Guard(x2, up_rel),), _field(2, "0.5*x1", "-0.8*x2 - x1^2"))
+    down = Region((Guard(x2, down_rel),), _field(2, "0.5*x1 + x1*x2", "-0.8*x2"))
+    return PiecewiseSystem(2, "discrete", (up, down))
+
+
+def _sqrt_sys():
+    """Two regions with sqrt in a guard and in a field, and a gap.
+
+    Region 0 needs x2 >= 0 and then sqrt(x1 + 1) > 0.5, a guard that
+    leaves its domain for x1 < -1 and leaves x2 >= 0, x1 <= -0.75
+    uncovered; region 1 (x2 < 0) takes sqrt(x1 + 0.9) in its field.
+    """
+    from lyapcert.system import Guard, PiecewiseSystem, Region
+
+    up = Region(
+        (Guard(parse_expr("x2", 2), ">="), Guard(parse_expr("sqrt(x1 + 1) - 0.5", 2), ">")),
+        _field(2, "0.5*x1 + 0.3*x2", "-0.8*x2 + 0.2*x1^2"),
+    )
+    down = Region(
+        (Guard(parse_expr("x2", 2), "<"),),
+        _field(2, "0.6*x1 + 0.1*sqrt(x1 + 0.9)", "-0.7*x2 + 0.1*x1"),
+    )
+    return PiecewiseSystem(2, "discrete", (up, down))
+
+
+def _enum_boxes(rng):
+    """Random boxes over [-1.3, 1.3]^2, and boxes that straddle, touch or
+    lie flat on x2 = 0."""
+    out = _boxes(rng, 40)
+    for c1 in (-1.1, -0.8, -0.3, 0.6, 1.1):
+        out.append(HyperRect([c1, 0.0], [0.1, -0.1, 0.1, -0.1]))  # straddles
+        out.append(HyperRect([c1, 0.1], [0.1, -0.1, 0.1, -0.1]))  # touches from above
+        out.append(HyperRect([c1, -0.1], [0.1, -0.1, 0.1, -0.1]))  # touches from below
+        out.append(HyperRect([c1, 0.0], [0.1, -0.1, 0.0, 0.0]))  # flat on the guard
+    out += [HyperRect(c, [0.3, -0.3, 0.3, -0.3]) for c in rng.uniform(-1.3, 1.3, (10, 2))]
+    out += [HyperRect([-0.9, c2], [0.05, -0.05, 0.05, -0.05]) for c2 in (0.1, 0.5)]  # gap of _sqrt_sys
+    return out
+
+
+# (M, domain, cap): plain walks, walks that leave a tight domain, and caps
+# of 1 and 2 that boxes straddling the guard exceed
+WALKS = [
+    (1, None, 64),
+    (3, None, 64),
+    (3, HyperRect([0.0, 0.0], [1.0, -1.0, 1.0, -1.0]), 64),
+    (3, None, 1),
+    (2, HyperRect([0.0, 0.0], [1.2, -1.2, 1.2, -1.2]), 2),
+]
+
+
+def _assert_enumeration_matches(sys_, boxes, walks):
+    from lyapcert.system import enumerate_box_branches, enumerate_boxes_branches
+
+    kinds = set()
+    for M, domain, cap in walks:
+        batched = enumerate_boxes_branches(sys_, boxes, M, domain, cap)
+        assert len(batched) == len(boxes)
+        for box, got in zip(boxes, batched):
+            ref = outcome_of(scalar_box_branches, sys_, box, M, domain, cap)
+            one = outcome_of(enumerate_box_branches, sys_, box, M, domain, cap)
+            assert same_result(got, ref), (box, M, domain, cap, got, ref)
+            assert same_result(one, ref), (box, M, domain, cap, one, ref)
+            kinds.add(type(ref).__name__)
+    return kinds
+
+
+@pytest.mark.parametrize("rels", [(">=", "<"), (">", "<="), (">=", "<=")])
+def test_enumerate_boxes_branches_matches_scalar(rels):
+    kinds = _assert_enumeration_matches(_two_piece(*rels), _enum_boxes(np.random.default_rng(61)), WALKS)
+    assert {"list", "DomainExit", "BranchOverflowError"} <= kinds
+
+
+def test_enumerate_boxes_branches_failure_order():
+    # guard domain errors, image domain errors and boxes covered by no
+    # region, mixed with the failures of the walks above: each box must
+    # report the failure its own walk meets first
+    kinds = _assert_enumeration_matches(_sqrt_sys(), _enum_boxes(np.random.default_rng(62)), WALKS)
+    assert {"list", "DomainError", "CoverageError", "DomainExit", "BranchOverflowError"} <= kinds
+
+
+def test_enumerate_boxes_branches_state_order():
+    # a box straddling x1 = 0 has the states (0,) and (1,) after one step;
+    # at the next, (0,) leaves the domain and (1,) meets a guard domain
+    # error, so the box's failure depends on the order of its states
+    from lyapcert.system import Guard, PiecewiseSystem, Region
+
+    x1 = parse_expr("x1", 1)
+    sys_ = PiecewiseSystem(
+        1,
+        "discrete",
+        (
+            Region((Guard(x1, ">="),), _field(1, "x1 + 2")),
+            Region((Guard(x1, "<"), Guard(parse_expr("sqrt(x1 + 2)", 1), ">=")), _field(1, "x1 - 2")),
+        ),
+    )
+    boxes = [HyperRect([c], [h, -h]) for c, h in ((0.0, 0.1), (0.5, 0.1), (-0.5, 0.1), (0.02, 0.05))]
+    domain = HyperRect([0.0], [3.0, -3.0])
+    kinds = _assert_enumeration_matches(sys_, boxes, [(3, domain, 64), (3, None, 64)])
+    assert {"list", "DomainExit", "DomainError"} <= kinds
+    assert isinstance(outcome_of(scalar_box_branches, sys_, boxes[0], 3, domain), DomainExit)
+    assert isinstance(outcome_of(scalar_box_branches, sys_, boxes[0], 3), DomainError)
+
+
+def test_enumerate_boxes_branches_powertrain_domain_errors():
+    from lyapcert.system import enumerate_boxes_branches
+
+    cfg = RunConfig.from_file(CONFIG_DIR / "example_powertrain.json")
+    dsys = cfg.discrete_system()
+    # along x1 - 0.7975: upper edges past 0.2025 put sqrt(x1*(1 - x1)) out of its domain
+    specs = [(c, 0.0125) for c in np.linspace(0.0, 0.26, 14)]
+    boxes = [HyperRect([c, 0.02, -0.01], [h, -h, 0.0125, -0.0125, 0.0125, -0.0125]) for c, h in specs]
+    kinds = _assert_enumeration_matches(dsys, boxes, [(1, None, 64), (2, None, 64)])
+    assert {"list", "DomainError"} <= kinds
+    assert enumerate_boxes_branches(dsys, [], 2) == []
+
+
+X5 = "x1*x1*x1*x1*x1"
+# both endpoints of x^5 overflow, and inf - inf follows: a NaN endpoint,
+# which the scalar path refuses at once; the operations after it must not
+# turn it back into a number (a product with it is the whole line, and the
+# first-of-equals max of [-inf, NaN] / [2, 1e70] is -inf)
+NAN_CASES = [((f"({X5} - {X5}){tail}",), [1e70], [1e69, -1e69]) for tail in ("", "*x1", "^2", "^0")]
+NAN_CASES.append(
+    (
+        (f"({X5} - x2*x2*x2*x2*x2)/(x1 + 2)", "x2"),
+        [0.5e70, 1.05e70],  # x1 in [0, 1e70], x2 in [1e70, 1.1e70]
+        [0.5e70, -0.5e70, 0.05e70, -0.05e70],
+    )
+)
+
+
+@pytest.mark.parametrize("texts, center, delta", NAN_CASES)
+def test_enumerate_boxes_branches_nan_enclosure(texts, center, delta):
+    from lyapcert.system import PiecewiseSystem, Region, enumerate_boxes_branches
+
+    n = len(texts)
+    sys_ = PiecewiseSystem(n, "discrete", (Region((), _field(n, *texts)),))
+    both = HyperRect(center, delta)
+    with pytest.raises(ValueError):
+        scalar_box_branches(sys_, both, 1)
+    with pytest.raises(ValueError):
+        enumerate_boxes_branches(sys_, [HyperRect([0.5] * n, [0.1, -0.1] * n), both], 1)
+
+
+def test_enumerate_boxes_branches_nan_guard():
+    from lyapcert.system import Guard, PiecewiseSystem, Region, enumerate_boxes_branches
+
+    # abs of [-inf, NaN] must not become [0, inf]
+    guard = Guard(parse_expr(f"abs({X5} - x2*x2*x2*x2*x2) - 1", 2), ">=")
+    sys_ = PiecewiseSystem(2, "discrete", (Region((guard,), _field(2, "x1", "x2")),))
+    box = HyperRect(*NAN_CASES[-1][1:])
+    with pytest.raises(ValueError):
+        scalar_box_branches(sys_, box, 1)
+    with pytest.raises(ValueError):
+        enumerate_boxes_branches(sys_, [box], 1)
+
+
+def test_flow_context_branches_match_scalar():
+    from lyapcert.system import Guard, PiecewiseSystem, Region
+
+    x2 = parse_expr("x2", 2)
+    ct = PiecewiseSystem(
+        2,
+        "continuous",
+        (
+            Region((Guard(x2, ">="),), _field(2, "-x1 + x2^2", "-2*x2")),
+            Region((Guard(x2, "<"),), _field(2, "-x1", "-2*x2 + x1*x2")),
+        ),
+    )
+    dt = euler_discretize(ct, 0.1)
+    boxes = _enum_boxes(np.random.default_rng(63))
+    V = CandidateV(np.eye(2), 0.999)
+    kinds = set()
+    tight = HyperRect([0.0, 0.0], [1.0, -1.0, 1.0, -1.0])
+    for M, domain, cap in [(3, None, 64), (3, None, 2), (3, tight, 64)]:
+        ctx = FlowDerivativeContext(ct, dt, V, M, domain, cap)
+        for box, got in zip(boxes, ctx.boxes_branches(boxes)):
+            ref = outcome_of(scalar_ctx_branches, ctx, box)
+            assert same_result(got, ref), (box, got, ref)
+            kinds.add(type(ref).__name__)
+    assert {"list", "BranchOverflowError", "DomainExit"} <= kinds
+
+
+# -- batched point walks ------------------------------------------------------------
+
+
+def _tie_sys():
+    """x2 > 0 and x2 < 0 only: x2 = 0 is a tie; x2 = 0.5 steps onto it."""
+    from lyapcert.system import Guard, PiecewiseSystem, Region
+
+    x2 = parse_expr("x2", 2)
+    return PiecewiseSystem(
+        2,
+        "discrete",
+        (
+            Region((Guard(x2, ">"),), _field(2, "0.5*x1", "x2 - 0.5")),
+            Region((Guard(x2, "<"),), _field(2, "0.5*x1", "-0.5*x2")),
+        ),
+    )
+
+
+def _points(rng):
+    """Random points, points on the guard x2 = 0 and points one step before it."""
+    X = rng.uniform(-1.3, 1.3, (150, 2))
+    on_guard = np.column_stack([rng.uniform(-1.3, 1.3, 20), np.zeros(20)])
+    before = np.column_stack([rng.uniform(-1.3, 1.3, 10), np.full(10, 0.5)])
+    return np.vstack([X, on_guard, before, [[0.0, 0.0], [-0.0, -0.0]]])
+
+
+@pytest.mark.parametrize(
+    "make_sys", [lambda: _two_piece(">=", "<"), lambda: _two_piece(">", "<="), _sqrt_sys, _tie_sys]
+)
+def test_w_point_values_match_scalar(make_sys):
+    from lyapcert.bounds import w_point_value, w_point_values
+
+    sys_ = make_sys()
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    X = _points(np.random.default_rng(71))
+    kinds = set()
+    for M in (1, 2, 4):
+        got = w_point_values(sys_, V, M, X)
+        from_ctx = WContext(sys_, V, M).values(X)
+        for x, w, wc in zip(X, got, from_ctx):
+            ref = outcome_of(scalar_w_point, sys_, V, M, x)
+            assert same_result(w, ref), (x, M, w, ref)
+            assert same_result(wc, ref)
+            assert same_result(outcome_of(w_point_value, sys_, V, M, x), ref)
+            kinds.add(type(ref).__name__)
+    assert "float" in kinds
+    if make_sys is _tie_sys:
+        assert "TieError" in kinds
+    if make_sys is _sqrt_sys:
+        assert {"CoverageError", "DomainError"} <= kinds
+
+
+def test_validate_coverage_raises_the_scalar_error():
+    from lyapcert.system import region_of, validate_coverage
+
+    sys_ = _sqrt_sys()
+    for S, kind in (
+        (HyperRect([0.0, 0.0], [1.0, -1.0, 1.0, -1.0]), CoverageError),  # gap, no guard errors
+        (HyperRect([0.0, 0.0], [1.3, -1.3, 1.3, -1.3]), LyapcertError),
+    ):
+        X = np.random.default_rng(5).uniform(S.lower, S.upper, size=(300, 2))
+        ref = None
+        for x in X:
+            ref = outcome_of(region_of, sys_, x)
+            if isinstance(ref, Exception):
+                break
+        assert isinstance(ref, kind)
+        assert same_result(outcome_of(validate_coverage, sys_, S, 300, 5), ref)
+    covered = HyperRect([0.0, 0.0], [1.5, -1.5, 1.5, -1.5])
+    assert validate_coverage(_two_piece(">=", "<"), covered, 300) is None
+
+
+def test_local_set_audit_reaches_errors_like_the_point_loop():
+    from types import SimpleNamespace
+
+    from lyapcert.levelset import _local_set_inside_level
+
+    sys_ = _sqrt_sys()  # the unit circle crosses its gap (x2 >= 0, x1 <= -0.75)
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    wctx = WContext(sys_, V, 3)
+    local = SimpleNamespace(P_L=np.eye(2), level_L=1.0)
+    # the audit's points, as _local_set_inside_level draws them
+    rng = np.random.default_rng(7)
+    U = rng.normal(size=(512, 2))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    refs = [outcome_of(scalar_w_point, sys_, V, 3, x) for x in U]
+    first_error = next(k for k, r in enumerate(refs) if isinstance(r, Exception))
+    assert first_error > 1 and isinstance(refs[first_error], LyapcertError)
+    assert any(isinstance(r, CoverageError) for r in refs)
+    top = max(refs[:first_error])
+
+    def scalar_audit(Lbar):
+        for r in refs:
+            if isinstance(r, Exception):
+                raise r
+            if r > Lbar:
+                return False
+        return True
+
+    # below `top` a point before the first error exceeds Lbar; at `top`
+    # the loop reaches that error
+    for Lbar in (0.0, np.nextafter(top, 0.0), top, math.inf):
+        got = outcome_of(_local_set_inside_level, wctx, local, Lbar)
+        assert same_result(got, outcome_of(scalar_audit, Lbar)), Lbar

@@ -162,6 +162,23 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_crashed_worker_pool_is_an_error(tmp_path, capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from lyapcert import verifier
+
+    def crash(self, boxes):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(verifier._BoxEvaluator, "map", crash)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert cli_main(["verify-dt", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "terminated abruptly" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MINIMAL))
