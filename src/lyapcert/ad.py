@@ -1,24 +1,30 @@
 """Forward-mode automatic differentiation with dual numbers.
 
 ``Dual`` carries a value and a gradient (first order); ``Dual2`` adds the
-full symmetric Hessian.  The payload type is generic: plain floats give
-exact pointwise derivatives, intervals give rigorous enclosures of the
+symmetric Hessian.  The payload type is generic: plain floats give exact
+pointwise derivatives, intervals give rigorous enclosures of the
 derivatives over a box, and nesting a dual inside another dual yields one
 extra derivative order (used for d/dt of a composed Lyapunov function).
 
-Dimensions here are small (n up to ~10), so gradients and Hessians are
-plain tuples; no sparsity.
+``Dual`` keeps its gradient as a tuple of n payloads.  ``Dual2`` runs on
+batched payloads (float or interval arrays, one entry per box; a scalar
+seed rides as a one-entry array) and stacks them: the gradient is one
+payload with a leading axis of length n, the Hessian one payload over
+the n(n+1)/2 lower-triangle entries, so a chain rule costs a fixed
+number of array operations whatever n is.  Each entry is computed from
+the same operands in the same order as the entry-by-entry formula, so
+the stacked results are bit for bit the per-entry ones.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .errors import DomainError
-from .scalars import div_, lift_like, pow_, sqrt_, strict_sign
-
-
-def _lift_const(template_dual, c):
-    """Constant with the same shape/payload as template_dual."""
-    return template_dual.lift(c)
+from .interval import IntervalArray, IntervalMatrix
+from .scalars import as_batch, div_, full_like, lift_like, pow_, sqrt_, stack_like, strict_sign
 
 
 class Dual:
@@ -94,24 +100,40 @@ class Dual:
         return Dual(pow_(self.value, k), tuple(u * g for g in self.grad))
 
 
+@lru_cache(maxsize=None)
+def tril(n: int):
+    """(I, J, pos) for the n(n+1)/2 lower-triangle entries of an n x n
+    matrix, row by row: entry t is (I[t], J[t]) with J[t] <= I[t], and
+    pos[i, j] is the entry that holds (i, j) and (j, i)."""
+    I, J = np.tril_indices(n)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[I, J] = pos[J, I] = np.arange(len(I))
+    for a in (I, J, pos):
+        a.setflags(write=False)  # cached and shared by every caller
+    return I, J, pos
+
+
 class Dual2:
-    """Second-order dual number: value, gradient, symmetric Hessian."""
+    """Second-order dual number: value, gradient, symmetric Hessian.
+
+    `grad` is one payload whose leading axis runs over the n variables,
+    `hess` one whose leading axis runs over the entries tril(n) of the
+    lower triangle; each chain rule below is the per-entry formula applied
+    to all entries at once.
+    """
 
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess):
         self.value = value
-        self.grad = tuple(grad)
-        self.hess = tuple(tuple(row) for row in hess)
+        self.grad = grad
+        self.hess = hess
 
     def lift(self, c):
-        n = len(self.grad)
-        zero = lift_like(self.value, 0.0)
-        zrow = (zero,) * n
-        return Dual2(lift_like(self.value, c), (zero,) * n, (zrow,) * n)
+        return Dual2(lift_like(self.value, c), full_like(self.grad, 0.0), full_like(self.hess, 0.0))
 
     def __repr__(self):
-        return f"Dual2({self.value!r}, grad={list(self.grad)!r})"
+        return f"Dual2({self.value!r}, grad={self.grad!r})"
 
     def _coerce(self, other):
         if isinstance(other, Dual2):
@@ -120,72 +142,41 @@ class Dual2:
 
     def __add__(self, other):
         o = self._coerce(other)
-        g = tuple(a + b for a, b in zip(self.grad, o.grad))
-        h = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess)
-        )
-        return Dual2(self.value + o.value, g, h)
+        return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        g = tuple(a - b for a, b in zip(self.grad, o.grad))
-        h = tuple(
-            tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess)
-        )
-        return Dual2(self.value - o.value, g, h)
+        return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        n = len(self.grad)
+        I, J, _ = tril(len(self.grad))
         v, w = self.value, o.value
-        g = tuple(v * o.grad[i] + w * self.grad[i] for i in range(n))
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(i + 1):
-                row.append(
-                    v * o.hess[i][j]
-                    + w * self.hess[i][j]
-                    + self.grad[i] * o.grad[j]
-                    + self.grad[j] * o.grad[i]
-                )
-            rows.append(row)
-        return Dual2(v * w, g, _mirror(rows, n))
+        g = v * o.grad + w * self.grad
+        h = v * o.hess + w * self.hess + self.grad[I] * o.grad[J] + self.grad[J] * o.grad[I]
+        return Dual2(v * w, g, h)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         # from f = q*g: q'' = (f'' - q'⊗g' - g'⊗q' - q*g'') / g
         o = self._coerce(other)
-        n = len(self.grad)
+        I, J, _ = tril(len(self.grad))
         q = div_(self.value, o.value)
-        qg = tuple(div_(self.grad[i] - q * o.grad[i], o.value) for i in range(n))
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(i + 1):
-                num = (
-                    self.hess[i][j]
-                    - qg[i] * o.grad[j]
-                    - qg[j] * o.grad[i]
-                    - q * o.hess[i][j]
-                )
-                row.append(div_(num, o.value))
-            rows.append(row)
-        return Dual2(q, qg, _mirror(rows, n))
+        qg = div_(self.grad - q * o.grad, o.value)
+        h = div_(self.hess - qg[I] * o.grad[J] - qg[J] * o.grad[I] - q * o.hess, o.value)
+        return Dual2(q, qg, h)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        g = tuple(-x for x in self.grad)
-        h = tuple(tuple(-x for x in row) for row in self.hess)
-        return Dual2(-self.value, g, h)
+        return Dual2(-self.value, -self.grad, -self.hess)
 
     def __abs__(self):
         s = strict_sign(self.value)
@@ -195,49 +186,30 @@ class Dual2:
 
     def sqrt(self):
         # from f = s^2: s'' = (f'' - 2 s'⊗s') / (2 s)
-        n = len(self.grad)
+        I, J, _ = tril(len(self.grad))
         s = sqrt_(self.value)
         two_s = s + s
-        sg = tuple(div_(g, two_s) for g in self.grad)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(i + 1):
-                num = self.hess[i][j] - (sg[i] * sg[j] + sg[i] * sg[j])
-                row.append(div_(num, two_s))
-            rows.append(row)
-        return Dual2(s, sg, _mirror(rows, n))
+        try:
+            sg = div_(self.grad, two_s)
+        except ValueError:
+            # a NaN endpoint in some entry; divided entry by entry, the
+            # first entry meets a divisor containing zero before it
+            div_(self.grad[0], two_s)
+            raise
+        p = sg[I] * sg[J]
+        return Dual2(s, sg, div_(self.hess - (p + p), two_s))
 
     def pow_int(self, k: int):
         if k == 0:
             return self.lift(1.0)
         if k == 1:
             return self
-        n = len(self.grad)
+        I, J, _ = tril(len(self.grad))
         u = k * pow_(self.value, k - 1)
-        if k == 2:
-            w = lift_like(self.value, 2.0)
-        else:
-            w = (k * (k - 1)) * pow_(self.value, k - 2)
-        g = tuple(u * gi for gi in self.grad)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(i + 1):
-                row.append(u * self.hess[i][j] + w * (self.grad[i] * self.grad[j]))
-            rows.append(row)
-        return Dual2(pow_(self.value, k), g, _mirror(rows, n))
-
-
-def _mirror(lower_rows, n):
-    """Build a full symmetric n x n grid from rows of length i+1."""
-    full = []
-    for i in range(n):
-        row = list(lower_rows[i])
-        for j in range(i + 1, n):
-            row.append(lower_rows[j][i])
-        full.append(tuple(row))
-    return tuple(full)
+        w = lift_like(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
+        g = u * self.grad
+        h = u * self.hess + w * (self.grad[I] * self.grad[J])
+        return Dual2(pow_(self.value, k), g, h)
 
 
 def dual_seeds(payloads):
@@ -252,14 +224,32 @@ def dual_seeds(payloads):
 
 
 def dual2_seeds(payloads):
-    """Second-order seeds (zero Hessians) for the variables x_1..x_n."""
-    n = len(payloads)
-    seeds = []
-    for i, p in enumerate(payloads):
-        one = lift_like(p, 1.0)
-        zero = lift_like(p, 0.0)
-        zrow = (zero,) * n
-        seeds.append(
-            Dual2(p, tuple(one if j == i else zero for j in range(n)), (zrow,) * n)
+    """Second-order seeds (zero Hessians) for the variables x_1..x_n.
+
+    A scalar payload (Interval or float) becomes a one-entry array.
+    """
+    values = [as_batch(p) for p in payloads]
+    n = len(values)
+    zeros = [0.0] * (n * (n + 1) // 2)
+    return [
+        Dual2(v, stack_like(v, [float(j == i) for j in range(n)]), stack_like(v, zeros))
+        for i, v in enumerate(values)
+    ]
+
+
+def hessian_of(out, ivec):
+    """The Hessian of a result of evaluating over dual2_seeds(ivec): an
+    IntervalArray of shape (N, n, n) when ivec is an IntervalArray of N
+    boxes (shape (n, N)), an IntervalMatrix when ivec is one box (an
+    IntervalVector); zero when the result does not depend on x."""
+    n = len(ivec)
+    N = ivec.lo.shape[1] if isinstance(ivec, IntervalArray) else 1
+    if isinstance(out, Dual2):
+        pos = tril(n)[2]
+        # C order, as remainder_bound's matrix products round by memory layout
+        H = IntervalArray(
+            np.ascontiguousarray(out.hess.lo.T[:, pos]), np.ascontiguousarray(out.hess.hi.T[:, pos])
         )
-    return seeds
+    else:
+        H = IntervalArray.point(np.zeros((N, n, n)))
+    return H if isinstance(ivec, IntervalArray) else IntervalMatrix(H[0].tolist())

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ad import Dual, Dual2, dual_seeds, dual2_seeds
+from .ad import Dual, dual_seeds, dual2_seeds, hessian_of
 from .errors import LyapcertError
 from .geometry import HyperRect, interval_batch, refine2
 from .interval import Interval, IntervalArray, IntervalMatrix, require_no_nan
@@ -99,19 +99,21 @@ def remainder_bound(hess, tau: np.ndarray) -> float:
     return float(0.5 * tau @ H @ tau)
 
 
-def _combined_magnitudes(grad0, hess_rows, offs):
-    """Per axis j, the magnitude of grad0_j + 1/2 sum_i offs_i H_ij.
+def _combined_magnitudes(grads, hess, lo_off, hi_off):
+    """Per box k and axis j, the magnitude of grads[k, j] + 1/2 sum_i
+    offs_i H_ij with offs_i = [lo_off[k, i], hi_off[k, i]], summed over i
+    in order for all boxes and axes at once.
 
-    Written once for every interval payload: the scalar path passes
-    Intervals, the batched path IntervalArrays with one entry per box.
+    grads, lo_off and hi_off have shape (N, n); hess is an IntervalArray
+    of shape (N, n, n).  Returns the magnitudes as an (N, n) array, or
+    raises ValueError for a NaN one (inf - inf after an overflow).
     """
-    n = len(offs)
-    mags = []
-    for j in range(n):
-        v = grad0[j]
-        for i in range(n):
-            v = v + offs[i] * hess_rows[i][j] * 0.5
-        mags.append(v.magnitude())
+    rows = IntervalArray(hess.lo.transpose(1, 2, 0), hess.hi.transpose(1, 2, 0))  # (i, j, box)
+    v = IntervalArray.point(grads.T)
+    for i in range(grads.shape[1]):
+        v = v + IntervalArray(lo_off[:, i], hi_off[:, i]) * rows[i] * 0.5
+    mags = v.magnitude().T
+    require_no_nan(mags)
     return mags
 
 
@@ -125,15 +127,35 @@ def combined_coefficient(
     grad0: np.ndarray, hess: IntervalMatrix, box: HyperRect, pairing: str = PAIR_LINF
 ) -> float:
     """Upper bound of ||grad F(x_s) + 1/2 (x - x_s)' H|| over the box."""
-    offs = [Interval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(box.n)]
-    grad = [Interval.point(float(g)) for g in grad0]
-    return _dual_norm(_combined_magnitudes(grad, hess.rows, offs), pairing)
+    lo = np.array([[[e.lo for e in row] for row in hess.rows]])
+    hi = np.array([[[e.hi for e in row] for row in hess.rows]])
+    grads = np.array([grad0], dtype=float)
+    H = IntervalArray(lo, hi)
+    mags = _combined_magnitudes(grads, H, box.lo_offsets[None], box.hi_offsets[None])
+    return _dual_norm(mags[0].tolist(), pairing)
 
 
 # -- branch-restricted scalar maps ------------------------------------------
 
 
-class DecreaseMap:
+class _BranchMap:
+    """A scalar map of x along one fixed branch; a subclass supplies
+    `_eval` over any payload sequence, and its own `interval_hessian`."""
+
+    def value(self, x) -> float:
+        return float(self._eval([float(v) for v in x]))
+
+    def value_and_grad(self, x):
+        out = self._eval(dual_seeds([float(v) for v in x]))
+        if not isinstance(out, Dual):
+            return float(out), np.zeros(len(x))
+        return float(out.value), np.array(out.grad, dtype=float)
+
+    def interval_value(self, ivec):
+        return _interval_of(self._eval(list(ivec)), ivec)
+
+
+class DecreaseMap(_BranchMap):
     """F(x) = V(G^M(x)) - rho_c V(x) with the region fixed at every step."""
 
     def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch: Sequence[int]):
@@ -150,23 +172,11 @@ class DecreaseMap:
             state = apply_field(self.sys, idx, state)
         return quad_form(self.V.P, state) - self.V.rho_c * quad_form(self.V.P, values)
 
-    def value(self, x) -> float:
-        return float(self._eval([float(v) for v in x]))
-
-    def value_and_grad(self, x):
-        out = self._eval(dual_seeds([float(v) for v in x]))
-        if not isinstance(out, Dual):
-            return float(out), np.zeros(len(x))
-        return float(out.value), np.array(out.grad, dtype=float)
-
-    def interval_value(self, ivec):
-        return _interval_of(self._eval(list(ivec)), ivec)
-
     def interval_hessian(self, ivec):
-        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
+        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
-class SumOfIteratesMap:
+class SumOfIteratesMap(_BranchMap):
     """W(x) = sum_{j<M} V(G^j(x)) with the region fixed at every step."""
 
     def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch: Sequence[int]):
@@ -185,23 +195,11 @@ class SumOfIteratesMap:
             total = total + quad_form(self.V.P, state)
         return total
 
-    def value(self, x) -> float:
-        return float(self._eval([float(v) for v in x]))
-
-    def value_and_grad(self, x):
-        out = self._eval(dual_seeds([float(v) for v in x]))
-        if not isinstance(out, Dual):
-            return float(out), np.zeros(len(x))
-        return float(out.value), np.array(out.grad, dtype=float)
-
-    def interval_value(self, ivec):
-        return _interval_of(self._eval(list(ivec)), ivec)
-
     def interval_hessian(self, ivec):
-        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
+        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
-class DerivativeAlongFlowMap:
+class DerivativeAlongFlowMap(_BranchMap):
     """F(x) = grad W(x) . f(x), the time derivative of W along a flow.
 
     W is the sum-of-iterates function of the discretized map; f is one
@@ -243,21 +241,8 @@ class DerivativeAlongFlowMap:
             acc = term if acc is None else acc + term
         return acc
 
-    def value(self, x) -> float:
-        out = self._eval([float(v) for v in x])
-        return float(out)
-
-    def value_and_grad(self, x):
-        out = self._eval(dual_seeds([float(v) for v in x]))
-        if not isinstance(out, Dual):
-            return float(out), np.zeros(len(x))
-        return float(out.value), np.array(out.grad, dtype=float)
-
-    def interval_value(self, ivec):
-        return _interval_of(self._eval(list(ivec)), ivec)
-
     def interval_hessian(self, ivec):
-        return _hess_of(self._eval(dual2_seeds(list(ivec))), ivec)
+        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
 def _interval_of(out, ivec):
@@ -271,30 +256,6 @@ def _interval_of(out, ivec):
     if isinstance(ivec, IntervalArray):
         return ivec[0].constant(out)
     return Interval.point(float(out))
-
-
-def _hess_of(out, ivec):
-    """The Hessian of a Dual2 result: an IntervalMatrix for one box, or an
-    IntervalArray of shape (N, n, n) for a batch of N boxes."""
-    n = len(ivec)
-    if isinstance(ivec, IntervalArray):
-        lo = np.zeros((ivec.lo.shape[1], n, n))
-        hi = np.zeros_like(lo)
-        if isinstance(out, Dual2):
-            for i, row in enumerate(out.hess):
-                for j, h in enumerate(row):
-                    lo[:, i, j] = h.lo
-                    hi[:, i, j] = h.hi
-        return IntervalArray(lo, hi)
-    if not isinstance(out, Dual2):
-        z = Interval.point(0.0)
-        return IntervalMatrix([[z] * n for _ in range(n)])
-    return IntervalMatrix(
-        [
-            [h if isinstance(h, Interval) else Interval.point(h) for h in row]
-            for row in out.hess
-        ]
-    )
 
 
 # -- per-branch assessment ----------------------------------------------------
@@ -332,7 +293,6 @@ def assess_boxes(
     batch is raised for the whole batch.
     """
     centers = np.array([box.center for box in boxes])
-    n = centers.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
         values, grads = _values_and_grads(fmap, centers)
         hess = fmap.interval_hessian(interval_batch(boxes))
@@ -341,11 +301,7 @@ def assess_boxes(
         if method in (COMBINED, BEST):
             lo_off = np.array([box.lo_offsets for box in boxes])
             hi_off = np.array([box.hi_offsets for box in boxes])
-            offs = [IntervalArray(lo_off[:, i], hi_off[:, i]) for i in range(n)]
-            grad = [IntervalArray.point(grads[:, j]) for j in range(n)]
-            rows = [[hess[:, i, j] for j in range(n)] for i in range(n)]
-            combined = np.column_stack(_combined_magnitudes(grad, rows, offs))
-            require_no_nan(combined)
+            combined = _combined_magnitudes(grads, hess, lo_off, hi_off)
     require_no_nan(hess.lo, hess.hi)
     out = []
     for k, box in enumerate(boxes):
@@ -376,22 +332,23 @@ def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
 
 def batch_or_each(batch, one, items: Sequence, errors) -> list:
     """batch(items), or, when that raises one of `errors`, one(item) for
-    each item, with None for an item that raises one of them as well.
+    each item, with the error in place of the result of an item that
+    raises one of them as well.
 
     Results are per item and independent of the batch's makeup, so the
     retry changes which items fail, not the results of the others.
     """
     try:
         return batch(items)
-    except errors:
+    except errors as exc:
         if len(items) == 1:
-            return [None]
+            return [exc]
     out = []
     for item in items:
         try:
             out.append(one(item))
-        except errors:
-            out.append(None)
+        except errors as exc:
+            out.append(exc)
     return out
 
 
@@ -501,8 +458,8 @@ class WContext:
     def _by_branch(self, boxes: Sequence[HyperRect], method: Optional[str] = None):
         """The branches of each box, and for each (box index, branch) its
         (lo, hi) enclosure and, given a method, its assessment, one batch
-        per branch; None marks a failed evaluation, a missing key a box
-        whose branches could not be enumerated."""
+        per branch; an error marks a failed evaluation, a missing key a
+        box whose branches could not be enumerated."""
         enumerated = enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
         branches_of = {
             k: seqs for k, seqs in enumerate(enumerated) if not isinstance(seqs, _W_ERRORS)
@@ -538,7 +495,7 @@ class WContext:
                 continue
             ranges, assessments = zip(*(found[k, seq] for seq in branches_of[k]))
             best = None
-            if all(bb is not None for bb in assessments):
+            if not any(isinstance(bb, _W_ERRORS) for bb in assessments):
                 xi = box_radius(box, self.pairing)
                 for bb in assessments:
                     coeffs = bb.split if bb.combined is None else min(
@@ -565,7 +522,7 @@ class WContext:
 
 
 def _hull_lo(ranges):
-    """Lower end of the hull of (lo, hi) pairs; None if any is missing."""
-    if not ranges or any(rng is None for rng in ranges):
+    """Lower end of the hull of (lo, hi) pairs; None if any failed."""
+    if not ranges or any(isinstance(rng, _W_ERRORS) for rng in ranges):
         return None
     return min(lo for lo, _ in ranges)

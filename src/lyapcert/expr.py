@@ -21,9 +21,9 @@ from typing import Union
 
 import numpy as np
 
-from .ad import Dual, Dual2, dual_seeds, dual2_seeds
+from .ad import Dual, Dual2, dual_seeds, dual2_seeds, hessian_of
 from .errors import ParseError
-from .interval import Interval, IntervalMatrix, IntervalVector
+from .interval import Interval, IntervalVector
 from .scalars import abs_, div_, pow_, sqrt_
 
 # -- AST nodes ------------------------------------------------------------
@@ -370,23 +370,11 @@ def eval_hess_interval(e: Expr, box: IntervalVector):
     """Enclosures of value, gradient and Hessian over the box.
 
     Returns (Interval, IntervalVector, IntervalMatrix); the Hessian is
-    symmetric by construction.
+    symmetric by construction.  The box is evaluated as a one-entry batch.
     """
-    seeds = dual2_seeds(list(box))
-    out = eval_any(e, seeds)
-    n = len(seeds)
+    n = len(box)
+    out = eval_any(e, dual2_seeds(list(box)))
+    hess = hessian_of(out, box)
     if not isinstance(out, Dual2):
-        z = Interval.point(0.0)
-        val = out if isinstance(out, Interval) else Interval.point(float(out))
-        return val, IntervalVector([z] * n), IntervalMatrix([[z] * n for _ in range(n)])
-    val = out.value if isinstance(out.value, Interval) else Interval.point(out.value)
-    grad = IntervalVector(
-        [g if isinstance(g, Interval) else Interval.point(g) for g in out.grad]
-    )
-    hess = IntervalMatrix(
-        [
-            [h if isinstance(h, Interval) else Interval.point(h) for h in row]
-            for row in out.hess
-        ]
-    )
-    return val, grad, hess
+        return Interval.point(float(out)), IntervalVector([Interval.point(0.0)] * n), hess
+    return out.value[0].tolist(), IntervalVector(out.grad[:, 0].tolist()), hess

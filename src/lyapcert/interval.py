@@ -258,6 +258,12 @@ def _first_max(first, *rest):
     return out
 
 
+def _intervals(lo, hi):
+    if isinstance(lo, list):
+        return [_intervals(a, b) for a, b in zip(lo, hi)]
+    return Interval(lo, hi)
+
+
 class IntervalArray:
     """Intervals [lo[k], hi[k]] over float arrays, e.g. one entry per box.
 
@@ -309,6 +315,10 @@ class IntervalArray:
 
     def magnitude(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    def tolist(self):
+        """The entries as (nested) lists of Interval, as ndarray.tolist()."""
+        return _intervals(self.lo.tolist(), self.hi.tolist())
 
     # -- arithmetic ------------------------------------------------------
 

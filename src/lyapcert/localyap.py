@@ -16,17 +16,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import batch_or_each
 from .errors import NotLocallyStableError
 from .expr import eval_grad, eval_real
-from .geometry import HyperRect
-from .interval import Interval
+from .geometry import HyperRect, interval_batch
+from .interval import IntervalArray, require_no_nan
 from .system import (
     CandidateV,
     PiecewiseSystem,
-    interval_step,
+    _enclose,
+    _one,
     quad_form,
     region_of,
-    regions_intersecting,
+    regions_intersecting_boxes,
 )
 
 _EQUILIBRIUM_TOL = 1e-9
@@ -159,36 +161,61 @@ def verify_local(
     ctx = DecreaseContext(dsys, V_local, 1, cfg.domain, cfg.branch_cap)
     cert = build_certified_region(cfg, ctx)
 
-    ok = True
-    note = None
     P = np.asarray(P_L, dtype=float)
-    for rec in cert.ledger.wrong:
-        box = rec.box()
-        lo_val = quad_form(P, list(box.to_interval_vector()))
-        touches_level_set = (
-            lo_val.lo <= level if isinstance(lo_val, Interval) else lo_val <= level
-        )
-        if not touches_level_set:
-            continue  # undecided but outside the level set: irrelevant
-        if not _hole_box_stays_inside(dsys, box, P, level):
-            ok = False
-            note = "undecided region near the origin escapes the level set"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+        escapes = _hole_escapes(dsys, [rec.box() for rec in cert.ledger.wrong], P, level)
     return LocalCertificate(
         A_lin=[m.tolist() for m in mats],
         P_L=P,
         N1=N1,
         level_L=level,
-        verified=ok,
-        note=note,
+        verified=not escapes,
+        note="undecided region near the origin escapes the level set" if escapes else None,
     )
 
 
-def _hole_box_stays_inside(dsys, box, P, level) -> bool:
-    for ridx in regions_intersecting(dsys, box):
-        image = interval_step(dsys, ridx, box.to_interval_vector())
-        v_img = quad_form(P, list(image))
-        hi = v_img.hi if isinstance(v_img, Interval) else float(v_img)
-        if hi > level:
-            return False
-    return True
+def _each_on_failure(batch, items) -> list:
+    """batch(items), redone item by item when it raises an error that a
+    batch raises as a whole: ValueError (a NaN endpoint) or OverflowError
+    (a float power); see batch_or_each."""
+    if not items:
+        return []
+    return batch_or_each(batch, lambda item: batch([item])[0], items, (ValueError, OverflowError))
+
+
+def _hole_escapes(dsys, boxes, P, level) -> bool:
+    """Does a box that meets the level set have a one-step image (under a
+    region its guards allow) on which x'Px exceeds the level?
+
+    The answer, or the error raised, is that of a loop over the boxes in
+    order and over each box's regions in order, which stops at the first
+    escape; the enclosures come from one batch for all boxes and one per
+    region.
+    """
+
+    def quad(ivals, end):  # one endpoint of x'Px over each entry of ivals
+        q = quad_form(P, list(ivals))
+        if not isinstance(q, IntervalArray):
+            return [float(q)] * ivals.lo.shape[1]
+        require_no_nan(q.lo, q.hi)
+        return getattr(q, end).tolist()
+
+    def images_escape(region, ks):
+        image, errors = _enclose(region.field.components, interval_batch([boxes[k] for k in ks]))
+        return [errors.get(j, hi > level) for j, hi in enumerate(quad(image, "hi"))]
+
+    def regions_of(ks):
+        return regions_intersecting_boxes(dsys, [boxes[k] for k in ks])
+
+    keys = range(len(boxes))
+    lows = _each_on_failure(lambda ks: quad(interval_batch([boxes[k] for k in ks]), "lo"), keys)
+    touching = [k for k in keys if isinstance(lows[k], Exception) or lows[k] <= level]
+    regions = dict(zip(touching, _each_on_failure(regions_of, touching)))
+    escapes = {}
+    for r, region in enumerate(dsys.regions):
+        ks = [k for k in touching if isinstance(regions[k], tuple) and r in regions[k]]
+        outs = _each_on_failure(lambda sel: images_escape(region, sel), ks)
+        escapes.update(((k, r), out) for k, out in zip(ks, outs))
+    return any(
+        _one(lows[k]) <= level and any(_one(escapes[k, r]) for r in _one(regions[k])) for k in keys
+    )

@@ -101,3 +101,24 @@ def lift_like(template, c):
     if isinstance(template, IntervalArray):
         return template.constant(c)
     return template.lift(c)  # dual numbers lift recursively
+
+
+def as_batch(v):
+    """A batched payload: an Interval or a float becomes a one-entry array."""
+    if isinstance(v, Interval):
+        return IntervalArray(np.array([v.lo]), np.array([v.hi]))
+    return np.array([float(v)]) if isinstance(v, numbers.Real) else v
+
+
+def full_like(template, c):
+    """The constant c in every entry of a batched payload's shape."""
+    if isinstance(template, np.ndarray):
+        return np.full(template.shape, float(c))
+    return template.constant(c)
+
+
+def stack_like(template, consts):
+    """consts[i] in every entry of the batched template's shape, stacked
+    along a new leading axis, in the template's payload kind."""
+    x = np.multiply.outer(consts, np.ones(getattr(template, "lo", template).shape))
+    return x if isinstance(template, np.ndarray) else IntervalArray(x, x)

@@ -278,7 +278,7 @@ def verify_boxes(
         assessed.update(((k, b), bb) for k, bb in zip(keys, results))
     for k, branches in branches_of.items():
         assessments = [assessed[k, b] for b in branches]
-        if any(a is None for a in assessments):
+        if any(isinstance(a, DomainError) for a in assessments):
             outcomes[k] = BoxOutcome(False, None, None, "domain-error")
         else:
             outcomes[k] = _decide(ctx, boxes[k], branches, assessments, method, pairing)

@@ -6,9 +6,13 @@ point walks) must give every box and point exactly the numbers, or the
 error, that the one-item evaluation gives, whatever else is in the batch.
 The scalar references below are the per-item code written directly over
 Interval and float payloads: the box walk that forks on interval guards,
-the point walk through resolve_region and step, and the per-box
-assessment (the point value and gradient from float duals, the Hessian
-from IntervalVector duals, then the same reductions).
+the point walk through resolve_region and step, the per-box assessment
+(the point value and gradient from float duals, the Hessian from
+second-order duals over Intervals, then the same reductions) and the
+box-by-box hole audit of the local certificate.  The second-order duals
+of the reference keep their gradient and Hessian as tuples of separate
+payloads, entry by entry (TupleDual2); the library's Dual2 stacks them,
+and must give every entry the same bits.
 """
 
 import math
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapcert import CandidateV, HyperRect, RunConfig, parse_expr
+from lyapcert.ad import Dual2, dual2_seeds, tril
 from lyapcert.bounds import (
     BEST,
     COMBINED,
@@ -41,10 +46,30 @@ from lyapcert.bounds import (
     remainder_bound,
 )
 from lyapcert.errors import BranchOverflowError, CoverageError, DomainError, LyapcertError
-from lyapcert.expr import eval_interval
+from lyapcert.expr import (
+    Abs,
+    Bin,
+    Const,
+    Neg,
+    Pow,
+    Sqrt,
+    Var,
+    eval_any,
+    eval_hess_interval,
+    eval_interval,
+)
 from lyapcert.geometry import interval_batch, refine2
-from lyapcert.interval import Interval, IntervalArray
-from lyapcert.system import DomainExit, euler_discretize, interval_step
+from lyapcert.interval import Interval, IntervalArray, IntervalMatrix, IntervalVector
+from lyapcert.scalars import div_, lift_like, pow_, sqrt_, strict_sign
+from lyapcert.system import (
+    DomainExit,
+    Guard,
+    PiecewiseSystem,
+    Region,
+    euler_discretize,
+    interval_step,
+    quad_form,
+)
 from lyapcert.verifier import (
     BoxOutcome,
     DecreaseContext,
@@ -77,6 +102,160 @@ def same(a, b):
 
 
 # -- the scalar reference ------------------------------------------------------
+
+
+class TupleDual2:
+    """Second-order dual number with the gradient and the symmetric Hessian
+    as tuples of payloads, one chain-rule formula per entry."""
+
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value, grad, hess):
+        self.value = value
+        self.grad = tuple(grad)
+        self.hess = tuple(tuple(row) for row in hess)
+
+    def lift(self, c):
+        n = len(self.grad)
+        zero = lift_like(self.value, 0.0)
+        zrow = (zero,) * n
+        return TupleDual2(lift_like(self.value, c), (zero,) * n, (zrow,) * n)
+
+    def _coerce(self, other):
+        if isinstance(other, TupleDual2):
+            return other
+        return self.lift(other)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        g = tuple(a + b for a, b in zip(self.grad, o.grad))
+        h = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess))
+        return TupleDual2(self.value + o.value, g, h)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        g = tuple(a - b for a, b in zip(self.grad, o.grad))
+        h = tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess))
+        return TupleDual2(self.value - o.value, g, h)
+
+    def __rsub__(self, other):
+        return self._coerce(other).__sub__(self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        n = len(self.grad)
+        v, w = self.value, o.value
+        g = tuple(v * o.grad[i] + w * self.grad[i] for i in range(n))
+        rows = [
+            [
+                v * o.hess[i][j]
+                + w * self.hess[i][j]
+                + self.grad[i] * o.grad[j]
+                + self.grad[j] * o.grad[i]
+                for j in range(i + 1)
+            ]
+            for i in range(n)
+        ]
+        return TupleDual2(v * w, g, _mirror(rows, n))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        n = len(self.grad)
+        q = div_(self.value, o.value)
+        qg = tuple(div_(self.grad[i] - q * o.grad[i], o.value) for i in range(n))
+        rows = [
+            [
+                div_(
+                    self.hess[i][j] - qg[i] * o.grad[j] - qg[j] * o.grad[i] - q * o.hess[i][j],
+                    o.value,
+                )
+                for j in range(i + 1)
+            ]
+            for i in range(n)
+        ]
+        return TupleDual2(q, qg, _mirror(rows, n))
+
+    def __rtruediv__(self, other):
+        return self._coerce(other).__truediv__(self)
+
+    def __neg__(self):
+        g = tuple(-x for x in self.grad)
+        h = tuple(tuple(-x for x in row) for row in self.hess)
+        return TupleDual2(-self.value, g, h)
+
+    def __abs__(self):
+        s = strict_sign(self.value)
+        if s is None:
+            raise DomainError("abs is not differentiable at a sign change")
+        return self if s > 0 else -self
+
+    def sqrt(self):
+        n = len(self.grad)
+        s = sqrt_(self.value)
+        two_s = s + s
+        sg = tuple(div_(g, two_s) for g in self.grad)
+        rows = [
+            [div_(self.hess[i][j] - (sg[i] * sg[j] + sg[i] * sg[j]), two_s) for j in range(i + 1)]
+            for i in range(n)
+        ]
+        return TupleDual2(s, sg, _mirror(rows, n))
+
+    def pow_int(self, k):
+        if k == 0:
+            return self.lift(1.0)
+        if k == 1:
+            return self
+        n = len(self.grad)
+        u = k * pow_(self.value, k - 1)
+        w = lift_like(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
+        g = tuple(u * gi for gi in self.grad)
+        rows = [
+            [u * self.hess[i][j] + w * (self.grad[i] * self.grad[j]) for j in range(i + 1)]
+            for i in range(n)
+        ]
+        return TupleDual2(pow_(self.value, k), g, _mirror(rows, n))
+
+
+def _mirror(lower_rows, n):
+    return tuple(
+        tuple(lower_rows[i][j] if j <= i else lower_rows[j][i] for j in range(n)) for i in range(n)
+    )
+
+
+def tuple_dual2_seeds(payloads):
+    n = len(payloads)
+    seeds = []
+    for i, p in enumerate(payloads):
+        one, zero = lift_like(p, 1.0), lift_like(p, 0.0)
+        zrow = (zero,) * n
+        seeds.append(TupleDual2(p, tuple(one if j == i else zero for j in range(n)), (zrow,) * n))
+    return seeds
+
+
+def scalar_hessian(fmap, box):
+    """The map's Hessian over one box from tuple duals over Intervals."""
+    n = box.n
+    out = fmap._eval(tuple_dual2_seeds(list(box.to_interval_vector())))
+    if not isinstance(out, TupleDual2):
+        return IntervalMatrix([[Interval.point(0.0)] * n for _ in range(n)])
+    return IntervalMatrix(out.hess)
+
+
+def scalar_combined_coefficient(grad0, hess, box, pairing):
+    """||grad F(x_s) + 1/2 (x - x_s)' H|| bounded entry by entry over Intervals."""
+    n = box.n
+    offs = [Interval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(n)]
+    mags = []
+    for j in range(n):
+        v = Interval.point(float(grad0[j]))
+        for i in range(n):
+            v = v + offs[i] * hess[i, j] * 0.5
+        mags.append(v.magnitude())
+    return float(np.linalg.norm(mags)) if pairing == PAIR_L2 else float(sum(mags))
 
 
 def scalar_regions_intersecting(sys_, ivec, literal=False):
@@ -155,13 +334,14 @@ def same_result(got, ref):
 
 def scalar_assess(fmap, box, method, pairing):
     value, grad = fmap.value_and_grad(box.center)
-    hess = fmap.interval_hessian(box.to_interval_vector())
+    hess = scalar_hessian(fmap, box)
     split = BoundCoefficients(
         gradient_coefficient(grad, pairing), remainder_bound(hess, box.tau), SPLIT
     )
     combined = None
     if method in (COMBINED, BEST):
-        combined = BoundCoefficients(combined_coefficient(grad, hess, box, pairing), 0.0, COMBINED)
+        a = scalar_combined_coefficient(grad, hess, box, pairing)
+        combined = BoundCoefficients(a, 0.0, COMBINED)
     return BranchBounds(value, split, combined)
 
 
@@ -389,6 +569,233 @@ def test_interval_array_mixed_signs_defer_abs_sign():
         abs(seeds[0])
 
 
+# -- stacked second-order duals ---------------------------------------------------------
+
+CONSTS = [0.0, -0.0, 1.0, -1.5, 2.0, 0.3, 1e-300, 1e300]
+
+
+def random_expr(rng, n, depth):
+    """A random expression over x1..xn: + - * /, sqrt, abs, ^0..^5, negation,
+    and constants on either side of a binary operation."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return Const(float(rng.choice(CONSTS)))
+        return Var(int(rng.integers(n)))
+    kind = rng.integers(6)
+    sub = lambda: random_expr(rng, n, depth - 1)  # noqa: E731
+    if kind <= 2:
+        return Bin(str(rng.choice(list("+-*/"))), sub(), sub())
+    if kind == 3:
+        return Pow(sub(), int(rng.integers(6)))
+    return [Neg, Sqrt, Abs][int(rng.integers(3))](sub())
+
+
+def expr_strategy(n):
+    leaves = st.one_of(
+        st.builds(Var, st.integers(0, n - 1)), st.builds(Const, st.sampled_from(CONSTS))
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+            st.builds(Pow, sub, st.integers(0, 5)),
+            st.builds(Neg, sub),
+            st.builds(Sqrt, sub),
+            st.builds(Abs, sub),
+        ),
+        max_leaves=10,
+    )
+
+
+def dual2_outcome(fn, seeds):
+    """fn(seeds), or the DomainError, ValueError or OverflowError (Python's
+    float power) it raises."""
+    try:
+        return fn(seeds)
+    except (DomainError, ValueError, OverflowError) as exc:
+        return exc
+
+
+def same_interval(got, ref):
+    """Sign-exact equality of an IntervalArray or Interval with a reference."""
+    ends = lambda x: np.ravel(x.lo).tolist() + np.ravel(x.hi).tolist()  # noqa: E731
+    return all(same(a, b) for a, b in zip(ends(got), ends(ref)))
+
+
+def same_floats(got, ref):
+    """Sign-exact equality of float arrays, a float broadcasting over its shape."""
+    got = np.asarray(got, dtype=float)
+    ref = np.broadcast_to(ref, got.shape)
+    return all(same(a, b) for a, b in zip(got.ravel().tolist(), ref.ravel().tolist()))
+
+
+def assert_same_dual2(got, ref):
+    """A stacked Dual2 equals a TupleDual2 entry for entry, or both raise
+    the same error (type and message)."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref), (got, ref)
+        return
+    assert not isinstance(got, Exception), (got, ref)
+    if not isinstance(ref, TupleDual2):
+        assert not isinstance(got, Dual2) and same(got, ref)
+        return
+    n = len(ref.grad)
+    pos = tril(n)[2]
+    eq = same_interval if isinstance(got.value, IntervalArray) else same_floats
+    assert eq(got.value, ref.value)
+    for i in range(n):
+        assert eq(got.grad[i], ref.grad[i]), i
+        for j in range(n):
+            assert eq(got.hess[pos[i, j]], ref.hess[i][j]), (i, j)
+
+
+# endpoints at a signed zero, where the order of a product's operands
+# decides the sign of a zero endpoint (first-of-equals min and max)
+SIGNED_ZEROS = [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 0.0), (-0.0, -0.0)]
+
+
+def random_payloads(rng, n, N, scale=1.0):
+    """n coordinate IntervalArrays over N boxes: random ones, ones that
+    straddle or touch 0, points, ones with a signed-zero endpoint, and
+    (scaled) ones that overflow."""
+    c = rng.uniform(-2.0, 2.0, (n, N)) * scale
+    h = rng.choice([0.0, 1e-3, 0.1, 1.0], (n, N)) * scale
+    c[:, 0] = 0.0
+    c[:, 1 % N] = h[:, 1 % N]
+    lo, hi = c - h, c + h
+    for i in range(n):
+        lo[i, -1], hi[i, -1] = SIGNED_ZEROS[rng.integers(len(SIGNED_ZEROS))]
+    return IntervalArray(lo, hi)
+
+
+def assert_stacked_matches(expr, payloads):
+    """expr over stacked duals equals expr over tuple duals, for a batch of
+    IntervalArrays, for float arrays, and for each box of the batch over
+    Intervals (one-entry arrays)."""
+    fn = lambda seeds: eval_any(expr, seeds)  # noqa: E731
+    # IntervalArrays, then float arrays (exact derivatives at the lower corners)
+    for rows in (list(payloads), list(payloads.lo)):
+        got = dual2_outcome(fn, dual2_seeds(rows))
+        assert_same_dual2(got, dual2_outcome(fn, tuple_dual2_seeds(rows)))
+    n, N = payloads.lo.shape
+    for k in range(N):
+        box = IntervalVector.from_bounds(payloads.lo[:, k], payloads.hi[:, k])
+        ref = dual2_outcome(fn, tuple_dual2_seeds(list(box)))
+        got = dual2_outcome(fn, dual2_seeds(list(box)))
+        # the Interval reference refuses a NaN endpoint as soon as one is
+        # made; the one-entry arrays refuse it when it is used or read
+        if isinstance(ref, ValueError):
+            continue
+        if isinstance(ref, (DomainError, OverflowError)):
+            assert type(got) is type(ref), (expr, box)
+            continue
+        assert_same_dual2(got, ref)
+        value, grad, hess = eval_hess_interval(expr, box)
+        if isinstance(ref, TupleDual2):
+            assert same_interval(value, ref.value)
+            for i in range(n):
+                assert same_interval(grad[i], ref.grad[i])
+                for j in range(n):
+                    assert same_interval(hess[i, j], ref.hess[i][j])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_dual2_matches_tuple_reference(n):
+    rng = np.random.default_rng(80 + n)
+    kinds = set()
+    for _ in range(150):
+        expr = random_expr(rng, n, 4)
+        payloads = random_payloads(rng, n, 5, scale=float(rng.choice([1.0, 1e70])))
+        assert_stacked_matches(expr, payloads)
+        ref = dual2_outcome(lambda s: eval_any(expr, s), tuple_dual2_seeds(list(payloads)))
+        kinds.add(type(ref).__name__)
+    assert {"TupleDual2", "DomainError", "float"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x2*(x1*x2)",
+        "x1*(x1*x2)",
+        "(x1 - x2)*(x1*x2)",
+        "(x1*x2)^3 - x1*x2^2",
+        "(x1*x2)/(x2 - 3)",
+        "sqrt(x1*x2 + 2)*x1",
+    ],
+)
+def test_stacked_dual2_signed_zeros(text):
+    # every pair of intervals with a signed-zero endpoint: products of
+    # non-point gradients keep the sign of a zero endpoint only when their
+    # operands come in the reference's order
+    pairs = [(a, b) for a in SIGNED_ZEROS + [(-2.0, 1.0)] for b in SIGNED_ZEROS + [(-2.0, 1.0)]]
+    lo = np.array([[a[0], b[0]] for a, b in pairs]).T.copy()
+    hi = np.array([[a[1], b[1]] for a, b in pairs]).T.copy()
+    assert_stacked_matches(parse_expr(text, 2), IntervalArray(lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(expr_strategy(n), st.just(n))),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_dual2_matches_tuple_reference_hypothesis(expr_n, seed):
+    expr, n = expr_n
+    rng = np.random.default_rng(seed)
+    scale = float(rng.choice([1.0, 1e40, 1e70]))
+    assert_stacked_matches(expr, random_payloads(rng, n, 4, scale))
+
+
+@pytest.mark.parametrize(
+    "text, other, center, delta, error",
+    [
+        # x^5 - x^5 over a box where both ends of x^5 overflow: inf - inf
+        ("(x1*x1*x1*x1*x1 - x1*x1*x1*x1*x1)*x1", [0.5], [1e70], [1e69, -1e69], ValueError),
+        ("(x1*x1*x1*x1*x1 - x1*x1*x1*x1*x1)^2", [0.5], [1e70], [1e69, -1e69], ValueError),
+        ("x1/(x1 + x2)", [0.5, 0.5], [0.0, 0.0], [0.1, -0.1, 0.1, -0.1], DomainError),
+        ("sqrt(x1 - 1)", [1.5], [0.5], [0.1, -0.1], DomainError),
+        ("abs(x1*x2)", [0.5, 0.5], [0.0, 1.0], [0.1, -0.1, 0.1, -0.1], DomainError),
+        # sqrt at 0, whose gradient is NaN in x2 only (1e308*x2 = 10, whose
+        # square's gradient overflows at both ends): entry by entry, the
+        # x1 entry meets the divisor [0, ...] first, a DomainError
+        (
+            "sqrt(x1^2 + (1e308*x2)*(1e308*x2) - (1e308*x2)*(1e308*x2))",
+            [0.5, 1e-310],
+            [0.0, 1e-307],
+            [0.0, 0.0, 0.0, 0.0],
+            DomainError,
+        ),
+    ],
+)
+def test_stacked_dual2_errors(text, other, center, delta, error):
+    """A batch that fails in one box (`center`, `delta`) beside one that does not."""
+    n = len(other)
+    expr = parse_expr(text, n)
+    beside = HyperRect(other, [0.1, -0.1] + [0.0, 0.0] * (n - 1))
+    payloads = interval_batch([beside, HyperRect(center, delta)])
+    fn = lambda seeds: eval_any(expr, seeds)  # noqa: E731
+    ref = dual2_outcome(fn, tuple_dual2_seeds(list(payloads)))
+    assert isinstance(ref, error)
+    assert_same_dual2(dual2_outcome(fn, dual2_seeds(list(payloads))), ref)
+    assert_stacked_matches(expr, payloads)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_dual2_under_first_order_duals(n):
+    """The flow map nests first-order duals over second-order ones."""
+    rng = np.random.default_rng(90 + n)
+    for _ in range(6):
+        texts = [f"-x{i + 1} + 0.3*x{(i + 1) % n + 1}^2" for i in range(n)]
+        texts[0] += " - 0.2*x1*x2"
+        ct = PiecewiseSystem(n, "continuous", (Region((), _field(n, *texts)),))
+        V = CandidateV(np.diag(rng.uniform(0.5, 2.0, n)), 0.999)
+        M = int(rng.integers(2, 4))
+        fmap = DerivativeAlongFlowMap(ct, euler_discretize(ct, 0.1), V, M, 0, (0,) * (M - 1))
+        payloads = random_payloads(rng, n, 6, scale=0.5)
+        ref = dual2_outcome(fmap._eval, tuple_dual2_seeds(list(payloads)))
+        assert isinstance(ref, TupleDual2)
+        assert_same_dual2(dual2_outcome(fmap._eval, dual2_seeds(list(payloads))), ref)
+
+
 # -- per-box assessment -------------------------------------------------------------
 
 
@@ -433,11 +840,18 @@ def _assert_assessment_matches(fmap, boxes, method, pairing):
         assert (got.combined is None) == (ref.combined is None)
         if ref.combined is not None:
             assert same(got.combined.a, ref.combined.a)
-        H = fmap.interval_hessian(box.to_interval_vector())
+            # the one-box form of the same code
+            grad = fmap.value_and_grad(box.center)[1]
+            one_hess = fmap.interval_hessian(box.to_interval_vector())
+            one_box = combined_coefficient(grad, one_hess, box, pairing)
+            assert same(one_box, ref.combined.a)
+        H = scalar_hessian(fmap, box)
+        one = fmap.interval_hessian(box.to_interval_vector())
         n = box.n
         for i in range(n):
             for j in range(n):
                 assert same(hess.lo[k, i, j], H[i, j].lo) and same(hess.hi[k, i, j], H[i, j].hi)
+                assert same(one[i, j].lo, H[i, j].lo) and same(one[i, j].hi, H[i, j].hi)
         rng = fmap.interval_value(box.to_interval_vector())
         assert same(ranges[k][0], rng.lo) and same(ranges[k][1], rng.hi)
     return batched, ranges
@@ -874,3 +1288,106 @@ def test_local_set_audit_reaches_errors_like_the_point_loop():
     for Lbar in (0.0, np.nextafter(top, 0.0), top, math.inf):
         got = outcome_of(_local_set_inside_level, wctx, local, Lbar)
         assert same_result(got, outcome_of(scalar_audit, Lbar)), Lbar
+
+
+# -- the local certificate's hole audit ------------------------------------------------
+
+
+def scalar_hole_escapes(dsys, boxes, P, level):
+    """The box-by-box hole audit of verify_local over Intervals."""
+    for box in boxes:
+        ivec = box.to_interval_vector()
+        low = quad_form(P, list(ivec))
+        if not (low.lo if isinstance(low, Interval) else low) <= level:
+            continue
+        for ridx in scalar_regions_intersecting(dsys, ivec):
+            v = quad_form(P, list(interval_step(dsys, ridx, ivec)))
+            if (v.hi if isinstance(v, Interval) else v) > level:
+                return True
+    return False
+
+
+def _overflow_sys():
+    """x1^5 - x1^5 is inf - inf for boxes near x1 = 1e70."""
+    field = _field(2, f"{X5} - {X5} + 0.5*x1", "0.5*x2")
+    return PiecewiseSystem(2, "discrete", (Region((), field),))
+
+
+def _escape_or_error_sys():
+    """Above x2 = 0 the image of x1 ~ 0.5 leaves {|x| <= 0.7}; below it,
+    sqrt(x1 - 1) leaves its domain."""
+    x2 = parse_expr("x2", 2)
+    return PiecewiseSystem(
+        2,
+        "discrete",
+        (
+            Region((Guard(x2, ">="),), _field(2, "2*x1", "x2")),
+            Region((Guard(x2, "<"),), _field(2, "sqrt(x1 - 1)", "x2")),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_sys", [lambda: _two_piece(">=", "<"), _sqrt_sys, _overflow_sys, _escape_or_error_sys]
+)
+def test_hole_audit_matches_box_loop(make_sys):
+    from lyapcert.localyap import _hole_escapes
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (LyapcertError, ValueError, OverflowError) as exc:
+            return exc
+
+    sys_ = make_sys()
+    rng = np.random.default_rng(76)
+    boxes = _enum_boxes(rng) + [
+        HyperRect([1e70, 0.0], [1e69, -1e69, 0.1, -0.1]),  # an image with a NaN endpoint
+        HyperRect([1e200, 1e200], [1e199, -1e199, 1e199, -1e199]),  # squares overflow
+        # 2 x^2 is inf at both ends, x1 x2 (-4) is -inf: x'Px is inf - inf
+        HyperRect([1.3e154, 1.3e154], [1e150, -1e150, 1e150, -1e150]),
+        # meets both regions of _escape_or_error_sys: the first escapes,
+        # the second leaves the domain of sqrt
+        HyperRect([0.5, 0.0], [0.1, -0.1, 0.1, -0.1]),
+    ]
+    kinds = set()
+    Ps = (np.eye(2), np.array([[2.0, -2.0], [-2.0, 2.0]]), np.diag([0.0, 1.0]), np.zeros((2, 2)))
+    for P in Ps:
+        for level in (0.05, 0.5, 2.0):
+            # orders and subsets in which an escape comes before or after an error
+            subsets = [boxes, boxes[::-1]]
+            for _ in range(3):
+                order = rng.permutation(len(boxes))[: rng.integers(1, len(boxes))]
+                subsets.append([boxes[k] for k in order])
+            for sub in subsets:
+                ref = outcome(scalar_hole_escapes, sys_, sub, P, level)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = outcome(_hole_escapes, sys_, sub, P, level)
+                assert same_result(got, ref), (P, level, got, ref)
+                kinds.add(ref if isinstance(ref, bool) else type(ref).__name__)
+    assert {True, "OverflowError", "ValueError"} <= kinds
+    if make_sys is _escape_or_error_sys:
+        # a box's regions in order: the escape comes before the error
+        assert _hole_escapes(sys_, boxes[-1:], np.eye(2), 0.5) is True
+        assert "DomainError" in kinds
+    else:
+        assert False in kinds
+    if make_sys is _sqrt_sys:
+        assert "DomainError" in kinds
+
+
+def test_verify_local_matches_box_loop(switched_sys):
+    from lyapcert.localyap import max_level_in_box, verify_local
+    from lyapcert.verifier import VerifyConfig, build_certified_region
+
+    N1 = HyperRect([0.0, 0.0], [0.3, -0.3, 0.3, -0.3])
+    for P in (np.eye(2), np.diag([1.0, 3.0])):
+        cert = verify_local(switched_sys, P, N1, 0.05)
+        cfg = VerifyConfig(S=N1, delta_min=0.05, M=1, M_max=1, rho_c=0.999)
+        ctx = DecreaseContext(switched_sys, CandidateV(P, 0.999), 1, cfg.domain, cfg.branch_cap)
+        wrong = [rec.box() for rec in build_certified_region(cfg, ctx).ledger.wrong]
+        assert wrong
+        escapes = scalar_hole_escapes(switched_sys, wrong, P, max_level_in_box(P, N1))
+        assert cert.verified is not escapes
+        note = "undecided region near the origin escapes the level set"
+        assert cert.note == (note if escapes else None)
