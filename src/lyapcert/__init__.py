@@ -84,7 +84,6 @@ from .system import (
     enumerate_branches,
     euler_discretize,
     iterate,
-    reach_box,
     region_of,
     regions_intersecting,
     step,
@@ -98,7 +97,6 @@ from .verifier import (
     WDescription,
     build_certified_region,
     check_invariance,
-    reach_covered,
     search_horizon,
     verify_box,
     verify_boxes,

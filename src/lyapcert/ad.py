@@ -246,10 +246,7 @@ def hessian_of(out, ivec):
     N = ivec.lo.shape[1] if isinstance(ivec, IntervalArray) else 1
     if isinstance(out, Dual2):
         pos = tril(n)[2]
-        # C order, as remainder_bound's matrix products round by memory layout
-        H = IntervalArray(
-            np.ascontiguousarray(out.hess.lo.T[:, pos]), np.ascontiguousarray(out.hess.hi.T[:, pos])
-        )
+        H = IntervalArray(out.hess.lo.T[:, pos], out.hess.hi.T[:, pos])
     else:
         H = IntervalArray.point(np.zeros((N, n, n)))
     return H if isinstance(ivec, IntervalArray) else IntervalMatrix(H[0].tolist())

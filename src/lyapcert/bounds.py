@@ -91,11 +91,13 @@ def gradient_coefficient(grad: np.ndarray, pairing: str = PAIR_LINF) -> float:
 def remainder_bound(hess, tau: np.ndarray) -> float:
     """1/2 tau' |H| tau with componentwise magnitude upper bounds.
 
-    `hess` is an IntervalMatrix or the float matrix of its magnitudes.
+    `hess` is an IntervalMatrix or the float matrix of its magnitudes.  The
+    matrix products are taken over a C-ordered copy, since numpy sums them
+    in an order that follows the memory layout.
     """
     if isinstance(hess, IntervalMatrix):
         hess = hess.magnitudes()
-    H = np.asarray(hess, dtype=float)
+    H = np.ascontiguousarray(hess, dtype=float)
     return float(0.5 * tau @ H @ tau)
 
 
@@ -384,7 +386,7 @@ def w_point_value(dsys: PiecewiseSystem, V: CandidateV, M: int, x) -> float:
 
 
 # failures that leave a W bound or enclosure of a box undetermined
-_W_ERRORS = (LyapcertError, DomainExit)
+_W_ERRORS = (LyapcertError, DomainExit, OverflowError)
 
 
 class WContext:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .config import RunConfig
 from .errors import ConfigError, LyapcertError
@@ -30,7 +29,7 @@ from .pipeline import (
 
 
 def _add_overrides(p: argparse.ArgumentParser):
-    p.add_argument("--workers", type=int, help="parallel box workers")
+    p.add_argument("--workers", type=int, help="accepted for old scripts; has no effect")
     p.add_argument("--delta-min", type=float, dest="delta_min")
     p.add_argument("--M", type=int, dest="M", help="starting decrease horizon")
     p.add_argument(
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
             for p in paths:
                 print(p)
             return 0
-    except (LyapcertError, OSError, json.JSONDecodeError, BrokenProcessPool) as exc:
+    except (LyapcertError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

@@ -25,7 +25,7 @@ A configuration is a single JSON document::
       },
       "run": {
         "bound_method": "split" | "combined" | "best",
-        "workers": 1,
+        "workers": 1,                      // accepted, has no effect
         "quality_gate": 0.5,
         "seed_split": [3, 3],              // optional initial grid
         "trajectory_seeds": [[0.5, 0.5]]   // optional, for exports
@@ -60,6 +60,7 @@ from .system import (
     euler_discretize,
     translate_system,
 )
+from .verifier import VerifyConfig
 
 _REL_RE = re.compile(r"(<=|>=|<|>)")
 
@@ -175,8 +176,6 @@ class RunConfig:
 
         S = _box_from_spec(search["S"], dim, "S")
         delta_min = float(search["delta_min"])
-        if not (0.0 < delta_min <= S.max_abs_delta):
-            raise ConfigError("delta_min must lie in (0, max|delta(S)|]")
         N1 = None
         if "N1" in search:
             N1 = _box_from_spec(search["N1"], dim, "N1")
@@ -187,7 +186,7 @@ class RunConfig:
         rho_local = float(search.get("rho_local", 0.999))
         if "local_delta_min" in search:
             local_delta_min = float(search["local_delta_min"])
-        elif N1 is not None:
+        elif N1 is not None and S.max_abs_delta > 0.0:  # a flat S fails validation
             # keep the local search resolution proportional to N1
             local_delta_min = delta_min * N1.max_abs_delta / S.max_abs_delta
         else:
@@ -234,15 +233,28 @@ class RunConfig:
             CandidateV(self.P, self.rho_c)
         except ValueError as exc:
             raise ConfigError(f"bad candidate: {exc}") from exc
-        if not (1 <= self.M <= self.M_max):
-            raise ConfigError("need 1 <= M <= M_max")
-        if self.bound_method not in ("split", "combined", "best"):
-            raise ConfigError(f"unknown bound method {self.bound_method!r}")
-        if self.norm_pairing not in ("linf-l1", "l2"):
-            raise ConfigError(f"unknown norm pairing {self.norm_pairing!r}")
-        if self.workers < 1:
+        if self.workers < 1:  # accepted for old configs, selects nothing
             raise ConfigError("workers must be >= 1")
+        try:
+            self.verify_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.build_system()  # parses all expressions
+
+    def verify_config(self) -> VerifyConfig:
+        """The inputs of the certified-region search."""
+        return VerifyConfig(
+            S=self.S,
+            delta_min=self.delta_min,
+            M=self.M,
+            M_max=self.M_max,
+            rho_c=self.rho_c,
+            bound_method=self.bound_method,
+            norm_pairing=self.norm_pairing,
+            quality_gate=self.quality_gate,
+            seed_split=self.seed_split,
+            split_longest_only=self.split_longest_only,
+        )
 
     def build_system(self) -> PiecewiseSystem:
         """The system exactly as configured (continuous stays continuous)."""

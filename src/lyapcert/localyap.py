@@ -141,7 +141,6 @@ def verify_local(
     N1: HyperRect,
     delta_min: float,
     rho_local: float = 0.999,
-    workers: int = 1,
 ) -> LocalCertificate:
     """Check that the quadratic works for the nonlinear map on N1.
 
@@ -155,9 +154,7 @@ def verify_local(
     level = max_level_in_box(P_L, N1)
     mats = linearize(dsys)
     V_local = CandidateV(np.asarray(P_L, dtype=float), rho_local)
-    cfg = VerifyConfig(
-        S=N1, delta_min=delta_min, M=1, M_max=1, rho_c=rho_local, workers=workers
-    )
+    cfg = VerifyConfig(S=N1, delta_min=delta_min, M=1, M_max=1, rho_c=rho_local)
     ctx = DecreaseContext(dsys, V_local, 1, cfg.domain, cfg.branch_cap)
     cert = build_certified_region(cfg, ctx)
 

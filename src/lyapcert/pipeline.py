@@ -27,7 +27,6 @@ from .localyap import LocalCertificate, common_lyapunov, linearize, verify_local
 from .system import CONTINUOUS, validate_coverage
 from .verifier import (
     Certificate,
-    VerifyConfig,
     WDescription,
     check_invariance,
     search_horizon,
@@ -123,22 +122,6 @@ class RunReport:
             return json.load(fh)
 
 
-def _verify_config(cfg: RunConfig) -> VerifyConfig:
-    return VerifyConfig(
-        S=cfg.S,
-        delta_min=cfg.delta_min,
-        M=cfg.M,
-        M_max=cfg.M_max,
-        rho_c=cfg.rho_c,
-        bound_method=cfg.bound_method,
-        norm_pairing=cfg.norm_pairing,
-        workers=cfg.workers,
-        quality_gate=cfg.quality_gate,
-        seed_split=cfg.seed_split,
-        split_longest_only=cfg.split_longest_only,
-    )
-
-
 def _local_certificate(cfg: RunConfig, dsys, notes) -> Optional[LocalCertificate]:
     if cfg.N1 is None:
         notes.append("no local neighborhood configured; origin hole stays open")
@@ -149,9 +132,7 @@ def _local_certificate(cfg: RunConfig, dsys, notes) -> Optional[LocalCertificate
         else:
             mats = linearize(dsys)
             P_L = common_lyapunov(mats)
-        cert = verify_local(
-            dsys, P_L, cfg.N1, cfg.local_delta_min, cfg.rho_local, cfg.workers
-        )
+        cert = verify_local(dsys, P_L, cfg.N1, cfg.local_delta_min, cfg.rho_local)
         if not cert.verified:
             notes.append(f"local candidate not verified: {cert.note}")
         return cert
@@ -177,39 +158,15 @@ def _assemble_verdict(cert, wctx, local, level, notes, delta_min) -> str:
     return VERDICT_KL
 
 
-def run_verify_dt(cfg: RunConfig) -> RunReport:
-    """Full discrete-time pipeline (continuous inputs are Euler-discretized)."""
-    timings = {}
-    notes = []
-    t0 = time.perf_counter()
-
-    dsys = cfg.discrete_system()
-    t = time.perf_counter()
-    validate_coverage(dsys, cfg.S)
-    timings["coverage"] = time.perf_counter() - t
-    vcfg = _verify_config(cfg)
-    V = cfg.candidate()
-
-    t = time.perf_counter()
-    cert = search_horizon(vcfg, dsys, V)
-    timings["construct_A"] = time.perf_counter() - t
-
-    local = None
+def _finish(cfg: RunConfig, cert, wctx, local, timings: dict, notes: list, t0: float) -> RunReport:
+    """The level estimate (unless the search halted), the audit, and the report."""
     level = None
-    wctx = None
     if cert.verdict != "halted":
-        t = time.perf_counter()
-        local = _local_certificate(cfg, dsys, notes)
-        timings["local"] = time.perf_counter() - t
-
-        wctx = WContext(dsys, V, cert.M_final, None, vcfg.branch_cap, cfg.norm_pairing)
         t = time.perf_counter()
         level = estimate_level(
             wctx, cert.ledger, cfg.S, cfg.boundary_spacing, cfg.delta_min, local
         )
         timings["level"] = time.perf_counter() - t
-    else:
-        notes.append("horizon search halted; select another candidate function")
 
     t = time.perf_counter()
     verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min)
@@ -235,6 +192,35 @@ def run_verify_dt(cfg: RunConfig) -> RunReport:
     )
 
 
+def run_verify_dt(cfg: RunConfig) -> RunReport:
+    """Full discrete-time pipeline (continuous inputs are Euler-discretized)."""
+    timings = {}
+    notes = []
+    t0 = time.perf_counter()
+
+    dsys = cfg.discrete_system()
+    t = time.perf_counter()
+    validate_coverage(dsys, cfg.S)
+    timings["coverage"] = time.perf_counter() - t
+    vcfg = cfg.verify_config()
+    V = cfg.candidate()
+
+    t = time.perf_counter()
+    cert = search_horizon(vcfg, dsys, V)
+    timings["construct_A"] = time.perf_counter() - t
+
+    local = None
+    wctx = None
+    if cert.verdict != "halted":
+        t = time.perf_counter()
+        local = _local_certificate(cfg, dsys, notes)
+        timings["local"] = time.perf_counter() - t
+        wctx = WContext(dsys, V, cert.M_final, None, vcfg.branch_cap, cfg.norm_pairing)
+    else:
+        notes.append("horizon search halted; select another candidate function")
+    return _finish(cfg, cert, wctx, local, timings, notes, t0)
+
+
 def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
     """Validate the Lyapunov function of a prior discrete run for the flow."""
     timings = {}
@@ -255,7 +241,7 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
     timings["coverage"] = time.perf_counter() - t
     M = int(prior["M_final"])
     W = WDescription(cfg.P, cfg.rho_c, M)
-    vcfg = _verify_config(cfg)
+    vcfg = cfg.verify_config()
 
     t = time.perf_counter()
     cert = verify_continuous(vcfg, ct_sys, dsys, W)
@@ -268,37 +254,8 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
         local.note = (local.note or "") + " (validated via the discretized map)"
         notes.append("local set verified for the Euler-discretized dynamics")
 
-    level = None
     wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap, cfg.norm_pairing)
-    if cert.verdict != "halted":
-        t = time.perf_counter()
-        level = estimate_level(
-            wctx, cert.ledger, cfg.S, cfg.boundary_spacing, cfg.delta_min, local
-        )
-        timings["level"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min)
-    timings["audit"] = time.perf_counter() - t
-    timings["total"] = time.perf_counter() - t0
-
-    return RunReport(
-        version=REPORT_VERSION,
-        config_digest=cfg.digest(),
-        M_final=M,
-        verdict=verdict,
-        certificate=cert,
-        local=local,
-        level=level,
-        timings=timings,
-        counts={
-            "explored": cert.explored,
-            "good": len(cert.good),
-            "wrong": len(cert.wrong),
-        },
-        notes=notes,
-        config=cfg.to_dict(),
-    )
+    return _finish(cfg, cert, wctx, local, timings, notes, t0)
 
 
 def _load_local(prior: dict) -> Optional[LocalCertificate]:
@@ -324,7 +281,7 @@ def recompute_level(cfg: RunConfig, prior: dict, spacing: Optional[float] = None
     dsys = cfg.discrete_system()
     M = int(prior["M_final"])
     ledger = _ledger_from_report(prior)
-    vcfg = _verify_config(cfg)
+    vcfg = cfg.verify_config()
     wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap, cfg.norm_pairing)
     local = _load_local(prior)
     return estimate_level(

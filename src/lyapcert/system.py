@@ -325,21 +325,6 @@ def translate_system(sys: PiecewiseSystem, x0) -> PiecewiseSystem:
 # -- interval paths ----------------------------------------------------------
 
 
-def interval_step(sys: PiecewiseSystem, region_idx: int, ivec: IntervalVector) -> IntervalVector:
-    field = sys.regions[region_idx].field
-    out = []
-    for c in field.components:
-        rng = eval_interval(c, ivec)
-        out.append(rng)
-    return IntervalVector(out)
-
-
-def reach_box(sys: PiecewiseSystem, box: HyperRect, region_idx: int) -> IntervalVector:
-    """Enclosure of the one-step image of the box under one region's field."""
-    _require_discrete(sys)
-    return interval_step(sys, region_idx, box.to_interval_vector())
-
-
 def enumerate_box_branches(
     sys: PiecewiseSystem,
     box: HyperRect,
@@ -439,9 +424,10 @@ def _enclose(exprs, ivals: IntervalArray):
     """Interval images of `exprs` over each entry of `ivals` (shape (n, K)).
 
     Returns an IntervalArray of shape (len(exprs), K) and {entry: error}.
-    When the batch leaves a domain, each entry is evaluated again over
-    Intervals, so that a failing entry gets the DomainError of its own
-    evaluation.  A NaN endpoint raises ValueError, as Interval does.
+    When the batch leaves a domain or a float power overflows, each entry
+    is evaluated again over Intervals, so that a failing entry gets the
+    DomainError or OverflowError of its own evaluation.  A NaN endpoint
+    raises ValueError, as Interval does.
     """
     K = ivals.lo.shape[1]
     lo = np.zeros((len(exprs), K))
@@ -455,14 +441,14 @@ def _enclose(exprs, ivals: IntervalArray):
                     lo[i], hi[i] = out.lo, out.hi
                 else:
                     lo[i] = hi[i] = float(out)
-    except DomainError:
+    except (DomainError, OverflowError):
         for j in range(K):
             box = IntervalVector.from_bounds(ivals.lo[:, j], ivals.hi[:, j])
             try:
                 for i, e in enumerate(exprs):
                     rng = eval_interval(e, box)
                     lo[i, j], hi[i, j] = rng.lo, rng.hi
-            except DomainError as exc:
+            except (DomainError, OverflowError) as exc:
                 errors[j] = exc
     require_no_nan(lo, hi)
     return IntervalArray(lo, hi), errors

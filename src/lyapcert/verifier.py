@@ -3,14 +3,12 @@
 A work queue of boxes starts from the search set (or a seed grid); each
 box is tested with the per-sample inequality F(x_s) < -slack.  Rejected
 boxes refine into 2^n children until the resolution floor; what remains
-undecided is reported, never rescued.  Waves are processed breadth-first
-and results merged in queue order, so ledgers are identical for any
-worker count.
+undecided is reported, never rescued.  Waves are processed breadth-first,
+each as one batched evaluation whose outcomes come back in queue order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -53,9 +51,7 @@ from .system import (
     enumerate_boxes_branches,
     enumerate_branches,
     quad_form,
-    reach_box,
     region_of,
-    regions_intersecting,
     regions_intersecting_boxes,
 )
 
@@ -72,7 +68,6 @@ class VerifyConfig:
     mode: str = "discrete"
     bound_method: str = SPLIT
     norm_pairing: str = PAIR_LINF
-    workers: int = 1
     quality_gate: float = 0.5
     seed_split: Optional[Sequence[int]] = None
     branch_cap: int = 64
@@ -228,6 +223,10 @@ def _point_jump(ctx, box, branches, values) -> float:
     return float(max(vals) - min(vals))
 
 
+# evaluation failures that flag a box `domain-error`
+_EVAL_ERRORS = (DomainError, OverflowError)
+
+
 @dataclass
 class BoxOutcome:
     certified: bool
@@ -245,16 +244,17 @@ def verify_boxes(
     Branch patterns are enumerated for all boxes in one interval walk;
     then every branch is assessed for all boxes that can follow it in one
     batched evaluation.
-    A batch that meets a DomainError is assessed again box by box, so only
-    the boxes at fault are flagged.  Each outcome is the same whatever the
-    other boxes in the call are.
+    A batch that meets a DomainError, or the OverflowError of a float
+    power, is assessed again box by box, so only the boxes at fault are
+    flagged `domain-error`.  Each outcome is the same whatever the other
+    boxes in the call are.
     """
     outcomes = [None] * len(boxes)
     branches_of = {}
     for k, (box, branches) in enumerate(zip(boxes, ctx.boxes_branches(boxes))):
         if isinstance(branches, BranchOverflowError):
             outcomes[k] = BoxOutcome(False, None, None, "branch-overflow")
-        elif isinstance(branches, DomainError):
+        elif isinstance(branches, _EVAL_ERRORS):
             outcomes[k] = BoxOutcome(False, None, None, "domain-error")
         elif isinstance(branches, DomainExit):
             # refinement shrinks the enclosure, but not a trajectory that has
@@ -273,12 +273,12 @@ def verify_boxes(
             lambda bs: assess_boxes(fmap, bs, method, pairing),
             lambda box: assess_branch(fmap, box, method, pairing),
             [boxes[k] for k in keys],
-            DomainError,
+            _EVAL_ERRORS,
         )
         assessed.update(((k, b), bb) for k, bb in zip(keys, results))
     for k, branches in branches_of.items():
         assessments = [assessed[k, b] for b in branches]
-        if any(isinstance(a, DomainError) for a in assessments):
+        if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
             outcomes[k] = BoxOutcome(False, None, None, "domain-error")
         else:
             outcomes[k] = _decide(ctx, boxes[k], branches, assessments, method, pairing)
@@ -304,53 +304,19 @@ def verify_box(
     return verify_boxes(ctx, [box], method, pairing)[0]
 
 
-# -- parallel box evaluation --------------------------------------------------
-
-_WORKER_STATE = None
-
-
-def _init_worker(ctx, method, pairing):
-    global _WORKER_STATE
-    _WORKER_STATE = (ctx, method, pairing)
-
-
-def _worker_verify(boxes):
-    ctx, method, pairing = _WORKER_STATE
-    return verify_boxes(ctx, boxes, method, pairing)
+# -- wave evaluation -----------------------------------------------------------
 
 
 class _BoxEvaluator:
-    """Maps boxes to outcomes, optionally across a process pool.
+    """Maps the boxes of one wave to their outcomes in one batched call."""
 
-    With a pool, each worker gets one contiguous chunk of the boxes.
-    Results always come back in input order, and no outcome depends on
-    the chunking, so artifacts do not depend on the worker count.
-    """
-
-    def __init__(self, ctx, method: str, pairing: str, workers: int):
+    def __init__(self, ctx, method: str, pairing: str):
         self.ctx = ctx
         self.method = method
         self.pairing = pairing
-        self.pool = None
-        if workers > 1:
-            self.pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(ctx, method, pairing),
-            )
-            self.workers = workers
 
     def map(self, boxes):
-        if self.pool is None:
-            return verify_boxes(self.ctx, boxes, self.method, self.pairing)
-        cuts = [len(boxes) * i // self.workers for i in range(self.workers + 1)]
-        chunks = [boxes[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-        return [out for part in self.pool.map(_worker_verify, chunks) for out in part]
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
+        return verify_boxes(self.ctx, boxes, self.method, self.pairing)
 
 
 # -- multi-resolution construction --------------------------------------------
@@ -377,29 +343,26 @@ def build_certified_region(cfg: VerifyConfig, ctx, M_label: Optional[int] = None
     ledger = SampleLedger()
     explored = 0
     queue = _seed_boxes(cfg)
-    evaluator = _BoxEvaluator(ctx, cfg.bound_method, cfg.norm_pairing, cfg.workers)
-    try:
-        while queue:
-            outcomes = evaluator.map(queue)
-            next_queue = []
-            for box, out in zip(queue, outcomes):
-                explored += 1
-                if out.certified:
-                    ledger.good.append(
-                        SampleRecord(box.center, box.delta, box.tau, out.F_value, out.gamma)
+    evaluator = _BoxEvaluator(ctx, cfg.bound_method, cfg.norm_pairing)
+    while queue:
+        outcomes = evaluator.map(queue)
+        next_queue = []
+        for box, out in zip(queue, outcomes):
+            explored += 1
+            if out.certified:
+                ledger.good.append(
+                    SampleRecord(box.center, box.delta, box.tau, out.F_value, out.gamma)
+                )
+            elif box.max_abs_delta > cfg.delta_min and out.refinable:
+                dims = longest_axes(box) if cfg.split_longest_only else None
+                next_queue.extend(refine2(box, dims))
+            else:
+                ledger.wrong.append(
+                    SampleRecord(
+                        box.center, box.delta, box.tau, out.F_value, out.gamma, out.flag
                     )
-                elif box.max_abs_delta > cfg.delta_min and out.refinable:
-                    dims = longest_axes(box) if cfg.split_longest_only else None
-                    next_queue.extend(refine2(box, dims))
-                else:
-                    ledger.wrong.append(
-                        SampleRecord(
-                            box.center, box.delta, box.tau, out.F_value, out.gamma, out.flag
-                        )
-                    )
-            queue = next_queue
-    finally:
-        evaluator.close()
+                )
+        queue = next_queue
     ledger.sort()
     return Certificate(
         ledger=ledger,
@@ -506,56 +469,3 @@ def check_invariance(
         ]
     ok = not open_ and local is not None
     return ok, open_
-
-
-# -- reachability fallback ------------------------------------------------------
-
-
-def _enclosure_covered(lo, hi, targets, tol: float) -> bool:
-    """Does a union of boxes cover [lo, hi]?  Decided by recursive splitting."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    for t in targets:
-        if np.all(lo >= t.lower - 1e-12) and np.all(hi <= t.upper + 1e-12):
-            return True
-    ext = hi - lo
-    axis = int(np.argmax(ext))
-    if ext[axis] <= tol:
-        return False
-    mid = 0.5 * (lo[axis] + hi[axis])
-    lo2 = lo.copy()
-    hi1 = hi.copy()
-    hi1[axis] = mid
-    lo2[axis] = mid
-    near = [t for t in targets if np.all(t.upper >= lo - 1e-12) and np.all(t.lower <= hi + 1e-12)]
-    return _enclosure_covered(lo, hi1, near, tol) and _enclosure_covered(lo2, hi, near, tol)
-
-
-def reach_covered(
-    sys: PiecewiseSystem,
-    n2_boxes: Sequence[HyperRect],
-    target_boxes: Sequence[HyperRect],
-    delta_min: float,
-) -> bool:
-    """One-step images of the hole boxes must land inside the target union.
-
-    Hole boxes whose image enclosure is not covered refine and retry until
-    the resolution floor; an uncovered image at the floor decides False.
-    """
-    targets = list(target_boxes)
-    queue = list(n2_boxes)
-    while queue:
-        box = queue.pop()
-        ok = True
-        for ridx in regions_intersecting(sys, box):
-            img = reach_box(sys, box, ridx)
-            if not _enclosure_covered(img.lower(), img.upper(), targets, delta_min / 8.0):
-                ok = False
-                break
-        if ok:
-            continue
-        if box.max_abs_delta > delta_min:
-            queue.extend(refine2(box))
-        else:
-            return False
-    return True

@@ -67,7 +67,6 @@ from lyapcert.system import (
     PiecewiseSystem,
     Region,
     euler_discretize,
-    interval_step,
     quad_form,
 )
 from lyapcert.verifier import (
@@ -274,7 +273,9 @@ def scalar_box_branches(sys_, box, M, domain=None, cap=64):
         nxt = []
         for ivec, seq in states:
             for idx in scalar_regions_intersecting(sys_, ivec, literal=True):
-                image = interval_step(sys_, idx, ivec)
+                image = IntervalVector(
+                    [eval_interval(c, ivec) for c in sys_.regions[idx].field.components]
+                )
                 if dom is not None and step_idx < M - 1 and not dom.encloses(image):
                     raise DomainExit(
                         f"state enclosure left the declared domain at step {step_idx + 1}"
@@ -1301,7 +1302,7 @@ def scalar_hole_escapes(dsys, boxes, P, level):
         if not (low.lo if isinstance(low, Interval) else low) <= level:
             continue
         for ridx in scalar_regions_intersecting(dsys, ivec):
-            v = quad_form(P, list(interval_step(dsys, ridx, ivec)))
+            v = quad_form(P, [eval_interval(c, ivec) for c in dsys.regions[ridx].field.components])
             if (v.hi if isinstance(v, Interval) else v) > level:
                 return True
     return False

@@ -48,6 +48,19 @@ def test_remainder_bound_constant_hessian():
     assert b == pytest.approx(0.5, rel=1e-10)
 
 
+def test_remainder_bound_ignores_memory_layout():
+    # numpy sums tau @ H @ tau in an order that follows H's memory layout;
+    # for these magnitudes a Fortran-ordered H moved the bound by one ulp
+    H = np.array(
+        [[0.013458754237823046, 0.007813114007004275], [0.0026445563032930354, 0.003139228145364278]]
+    )
+    tau = np.array([1.4580206835369587, 1.9602583164499647])
+    view = np.ascontiguousarray(H.T).T
+    assert view.flags.f_contiguous and not view.flags.c_contiguous
+    assert np.array_equal(view, H)
+    assert remainder_bound(view, tau) == remainder_bound(H.copy(), tau)
+
+
 def test_remainder_bound_linear_is_zero():
     e = parse_expr("3*x1 - x2", 2)
     from lyapcert.interval import Interval, IntervalVector

@@ -162,21 +162,33 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_crashed_worker_pool_is_an_error(tmp_path, capsys, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
+def test_workers_accepted_without_effect(tmp_path, capsys):
+    def ledger(path):
+        doc = json.loads(path.read_text())
+        return doc["good"], doc["wrong"], doc["level"], doc["verdict"]
 
-    from lyapcert import verifier
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    base = tmp_path / "w1.json"
+    assert cli_main(["verify-dt", str(cfg_path), "--out", str(base)]) == 0
 
-    def crash(self, boxes):
-        raise BrokenProcessPool("a worker process terminated abruptly")
+    four = copy.deepcopy(MINIMAL)
+    four["run"]["workers"] = 4
+    assert RunConfig.from_dict(four).workers == 4
+    four_path = tmp_path / "cfg4.json"
+    four_path.write_text(json.dumps(four))
+    for args in ([str(four_path)], [str(cfg_path), "--workers", "4"]):
+        out = tmp_path / "w4.json"
+        assert cli_main(["verify-dt", *args, "--out", str(out)]) == 0
+        assert ledger(out) == ledger(base)
 
-    monkeypatch.setattr(verifier._BoxEvaluator, "map", crash)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(MINIMAL))
-    assert cli_main(["verify-dt", str(path), "--out", str(tmp_path / "r.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "terminated abruptly" in err
-    assert not (tmp_path / "r.json").exists()
+    zero = copy.deepcopy(MINIMAL)
+    zero["run"]["workers"] = 0
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(zero)
+    capsys.readouterr()
+    assert cli_main(["verify-dt", str(cfg_path), "--workers", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_overrides(tmp_path):

@@ -15,7 +15,6 @@ from lyapcert.system import (
     enumerate_branches,
     euler_discretize,
     iterate,
-    reach_box,
     region_of,
     regions_intersecting,
     step,
@@ -23,7 +22,7 @@ from lyapcert.system import (
     validate_coverage,
 )
 
-from oracles import sample_box, simulate_batch
+from oracles import sample_box
 
 
 def test_region_membership(switched_sys):
@@ -159,25 +158,6 @@ def test_translate_system():
 
     assert eval_real(shifted.regions[0].field.components[0], [0.0]) == pytest.approx(0.0)
     assert eval_real(shifted.regions[0].field.components[0], [0.2]) == pytest.approx(0.1)
-
-
-def test_reach_box_linear(contract1d_sys):
-    box = HyperRect([0.0], [1.0, -1.0])
-    img = reach_box(contract1d_sys, box, 0)
-    assert img[0].lo <= -0.5 <= 0.5 <= img[0].hi
-    assert img[0].lo >= -0.5 - 1e-9 and img[0].hi <= 0.5 + 1e-9
-    pt = reach_box(contract1d_sys, HyperRect([0.0], [0.0, 0.0]), 0)
-    assert pt[0].lo == 0.0 and pt[0].hi == 0.0
-
-
-def test_reach_box_encloses_samples(switched_sys):
-    rng = np.random.default_rng(9)
-    box = HyperRect([1.0, 0.05], [0.1, -0.1, 0.05, -0.05])
-    img = reach_box(switched_sys, box, 0)
-    pts = sample_box(box, 1000, rng)
-    Y = simulate_batch(switched_sys, pts, 1)
-    for i in range(2):
-        assert np.all(Y[:, i] >= img[i].lo) and np.all(Y[:, i] <= img[i].hi)
 
 
 def test_box_branch_enumeration(switched_sys):
