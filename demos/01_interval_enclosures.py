@@ -8,7 +8,7 @@ random sampling to make the containment visible.
 
 import numpy as np
 
-from lyapcert import Interval, IntervalVector, eval_batch, eval_hess_interval, parse_expr
+from lyapcert import HyperRect, Interval, eval_batch, eval_hess_interval, parse_expr
 
 rng = np.random.default_rng(0)
 
@@ -24,15 +24,17 @@ x = Interval(0.85, 0.95)
 print("\nnaive  x - x^2 :", x - x.pow_int(2))
 print("factored x(1-x):", x * (1.0 - x), " (same function, tighter range)")
 
-# a composed two-variable map over a box, checked against 100k samples
+# a composed two-variable map over a box, checked against 100k samples; a
+# box is a batch of one (an IntervalArray of shape (n, 1)), so the results
+# have one entry: value (1,), gradient (n, 1), Hessian (1, n, n)
 f = parse_expr("sqrt(x1*(1 - x1)) + x2^2/(x1 + 2)", 2)
-box = IntervalVector.from_bounds([0.2, -0.5], [0.8, 0.5])
+box = HyperRect.from_bounds([0.2, -0.5], [0.8, 0.5]).to_interval_vector()
 val, grad, hess = eval_hess_interval(f, box)
 pts = rng.uniform([0.2, -0.5], [0.8, 0.5], size=(100_000, 2))
 vals = eval_batch(f, pts)
-print("\nenclosure of f over the box:", val)
+print(f"\nenclosure of f over the box: [{val.lo[0]:.6f}, {val.hi[0]:.6f}]")
 print(f"sampled range:               [{vals.min():.6f}, {vals.max():.6f}]")
-assert val.lo <= vals.min() and vals.max() <= val.hi
+assert val.lo[0] <= vals.min() and vals.max() <= val.hi[0]
 
-print("\ngradient enclosure:", [str(g) for g in grad])
-print("Hessian (0,0)    :", hess[0, 0])
+print("\ngradient enclosure:", [f"[{g.lo[0]:.4f}, {g.hi[0]:.4f}]" for g in grad])
+print(f"Hessian (0,0)    : [{hess.lo[0, 0, 0]:.4f}, {hess.hi[0, 0, 0]:.4f}]")

@@ -15,7 +15,6 @@ from .bounds import (
     WContext,
     assess_branch,
     certificate_slack,
-    combined_coefficient,
     gradient_coefficient,
     remainder_bound,
     w_point_value,
@@ -50,7 +49,7 @@ from .geometry import (
     refine2,
     tau_of,
 )
-from .interval import Interval, IntervalArray, IntervalMatrix, IntervalVector, hull
+from .interval import Interval, IntervalArray
 from .levelset import (
     LevelEstimate,
     boundary_samples,

@@ -7,13 +7,13 @@ derivatives over a box, and nesting a dual inside another dual yields one
 extra derivative order (used for d/dt of a composed Lyapunov function).
 
 ``Dual`` keeps its gradient as a tuple of n payloads.  ``Dual2`` runs on
-batched payloads (float or interval arrays, one entry per box; a scalar
-seed rides as a one-entry array) and stacks them: the gradient is one
-payload with a leading axis of length n, the Hessian one payload over
-the n(n+1)/2 lower-triangle entries, so a chain rule costs a fixed
-number of array operations whatever n is.  Each entry is computed from
-the same operands in the same order as the entry-by-entry formula, so
-the stacked results are bit for bit the per-entry ones.
+batched payloads (float or interval arrays, one entry per box) and
+stacks them: the gradient is one payload with a leading axis of length
+n, the Hessian one payload over the n(n+1)/2 lower-triangle entries, so
+a chain rule costs a fixed number of array operations whatever n is.
+Each entry is computed from the same operands in the same order as the
+entry-by-entry formula, so the stacked results are bit for bit the
+per-entry ones.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .interval import IntervalArray, IntervalMatrix
-from .scalars import as_batch, div_, full_like, lift_like, pow_, sqrt_, stack_like, strict_sign
+from .interval import IntervalArray
+from .scalars import div_, full_like, lift_like, pow_, sqrt_, stack_like, strict_sign
 
 
 class Dual:
@@ -224,29 +224,22 @@ def dual_seeds(payloads):
 
 
 def dual2_seeds(payloads):
-    """Second-order seeds (zero Hessians) for the variables x_1..x_n.
-
-    A scalar payload (Interval or float) becomes a one-entry array.
-    """
-    values = [as_batch(p) for p in payloads]
-    n = len(values)
+    """Second-order seeds (zero Hessians) for the variables x_1..x_n,
+    given batched payloads (float or interval arrays of one shape)."""
+    n = len(payloads)
     zeros = [0.0] * (n * (n + 1) // 2)
     return [
         Dual2(v, stack_like(v, [float(j == i) for j in range(n)]), stack_like(v, zeros))
-        for i, v in enumerate(values)
+        for i, v in enumerate(payloads)
     ]
 
 
 def hessian_of(out, ivec):
-    """The Hessian of a result of evaluating over dual2_seeds(ivec): an
-    IntervalArray of shape (N, n, n) when ivec is an IntervalArray of N
-    boxes (shape (n, N)), an IntervalMatrix when ivec is one box (an
-    IntervalVector); zero when the result does not depend on x."""
-    n = len(ivec)
-    N = ivec.lo.shape[1] if isinstance(ivec, IntervalArray) else 1
-    if isinstance(out, Dual2):
-        pos = tril(n)[2]
-        H = IntervalArray(out.hess.lo.T[:, pos], out.hess.hi.T[:, pos])
-    else:
-        H = IntervalArray.point(np.zeros((N, n, n)))
-    return H if isinstance(ivec, IntervalArray) else IntervalMatrix(H[0].tolist())
+    """The Hessian of a result of evaluating over dual2_seeds(ivec), for N
+    boxes ivec (an IntervalArray of shape (n, N)): an IntervalArray of
+    shape (N, n, n), zero when the result does not depend on x."""
+    n, N = ivec.lo.shape
+    if not isinstance(out, Dual2):
+        return IntervalArray.point(np.zeros((N, n, n)))
+    pos = tril(n)[2]
+    return IntervalArray(out.hess.lo.T[:, pos], out.hess.hi.T[:, pos])

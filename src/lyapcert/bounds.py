@@ -29,7 +29,7 @@ import numpy as np
 from .ad import Dual, dual_seeds, dual2_seeds, hessian_of
 from .errors import LyapcertError
 from .geometry import HyperRect, interval_batch, refine2
-from .interval import Interval, IntervalArray, IntervalMatrix, require_no_nan
+from .interval import Interval, IntervalArray, require_no_nan
 from .system import (
     CandidateV,
     DomainExit,
@@ -91,12 +91,10 @@ def gradient_coefficient(grad: np.ndarray, pairing: str = PAIR_LINF) -> float:
 def remainder_bound(hess, tau: np.ndarray) -> float:
     """1/2 tau' |H| tau with componentwise magnitude upper bounds.
 
-    `hess` is an IntervalMatrix or the float matrix of its magnitudes.  The
+    `hess` is the float matrix of the Hessian enclosure's magnitudes.  The
     matrix products are taken over a C-ordered copy, since numpy sums them
     in an order that follows the memory layout.
     """
-    if isinstance(hess, IntervalMatrix):
-        hess = hess.magnitudes()
     H = np.ascontiguousarray(hess, dtype=float)
     return float(0.5 * tau @ H @ tau)
 
@@ -125,18 +123,6 @@ def _dual_norm(mags, pairing: str) -> float:
     return float(sum(mags))
 
 
-def combined_coefficient(
-    grad0: np.ndarray, hess: IntervalMatrix, box: HyperRect, pairing: str = PAIR_LINF
-) -> float:
-    """Upper bound of ||grad F(x_s) + 1/2 (x - x_s)' H|| over the box."""
-    lo = np.array([[[e.lo for e in row] for row in hess.rows]])
-    hi = np.array([[[e.hi for e in row] for row in hess.rows]])
-    grads = np.array([grad0], dtype=float)
-    H = IntervalArray(lo, hi)
-    mags = _combined_magnitudes(grads, H, box.lo_offsets[None], box.hi_offsets[None])
-    return _dual_norm(mags[0].tolist(), pairing)
-
-
 # -- branch-restricted scalar maps ------------------------------------------
 
 
@@ -154,7 +140,11 @@ class _BranchMap:
         return float(out.value), np.array(out.grad, dtype=float)
 
     def interval_value(self, ivec):
-        return _interval_of(self._eval(list(ivec)), ivec)
+        """Enclosures of the map over N boxes (an IntervalArray of shape
+        (n, N)), shape (N,); constant when the map does not depend on x."""
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+            out = self._eval(list(ivec))
+        return out if isinstance(out, IntervalArray) else ivec[0].constant(out)
 
 
 class DecreaseMap(_BranchMap):
@@ -247,19 +237,6 @@ class DerivativeAlongFlowMap(_BranchMap):
         return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
 
 
-def _interval_of(out, ivec):
-    """A map's value as an interval of the argument's payload kind.
-
-    `ivec` is an IntervalVector (one box) or an IntervalArray of shape
-    (n, N) (N boxes); a map that does not depend on x yields a constant.
-    """
-    if isinstance(out, (Interval, IntervalArray)):
-        return out
-    if isinstance(ivec, IntervalArray):
-        return ivec[0].constant(out)
-    return Interval.point(float(out))
-
-
 # -- per-branch assessment ----------------------------------------------------
 
 
@@ -326,8 +303,7 @@ def assess_branch(
 
 def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
     """(lo, hi) of the map's interval enclosure over each box, in one batch."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rng = fmap.interval_value(interval_batch(boxes))
+    rng = fmap.interval_value(interval_batch(boxes))
     require_no_nan(rng.lo, rng.hi)
     return list(zip(rng.lo.tolist(), rng.hi.tolist()))
 
@@ -388,6 +364,24 @@ def w_point_value(dsys: PiecewiseSystem, V: CandidateV, M: int, x) -> float:
 # failures that leave a W bound or enclosure of a box undetermined
 _W_ERRORS = (LyapcertError, DomainExit, OverflowError)
 
+# most pieces a box is cut into for its W bound; a box that would need more
+# gets no bound (None), like a box whose bound cannot be computed
+_MAX_PIECES = 4096
+
+
+def _refinement(box: HyperRect, subdivide_to: Optional[float]):
+    """(levels, pieces) of the 2-refinement of the box until no offset
+    exceeds `subdivide_to`: each level halves every offset and doubles the
+    pieces once per axis it splits.  Counting stops at the first count
+    above _MAX_PIECES."""
+    levels, count = 0, 1
+    if subdivide_to is not None and box.max_abs_delta > subdivide_to * (1 + 1e-9):
+        axes = int(np.count_nonzero(box.hi_offsets > box.lo_offsets))
+        reach = box.max_abs_delta
+        while axes and reach > subdivide_to * (1 + 1e-9) and count <= _MAX_PIECES:
+            levels, count, reach = levels + 1, count * 2**axes, 0.5 * reach
+    return levels, count
+
 
 class WContext:
     """The sum-of-iterates Lyapunov function with per-box rigorous bounds."""
@@ -428,7 +422,8 @@ class WContext:
         follows one of the feasible branches) and the plain interval lower
         endpoint.  Coarse boxes may be subdivided down to `subdivide_to`
         purely for bound evaluation, which tames interval dependency; the
-        bound is then the minimum over the pieces, None if any piece has none.
+        bound is then the minimum over the pieces, None if any piece has none
+        or if the box would take more than _MAX_PIECES pieces.
         """
         return self.lower_bounds([box], method, subdivide_to)[0]
 
@@ -443,19 +438,19 @@ class WContext:
         for ps in pieces:
             own = bounds[pos : pos + len(ps)]
             pos += len(ps)
-            out.append(None if any(lb is None for lb in own) else min(own))
+            out.append(None if not own or any(lb is None for lb in own) else min(own))
         return out
 
     def _pieces(self, box: HyperRect, subdivide_to: Optional[float]) -> list:
-        """The box, or its recursive 2-refinement down to `subdivide_to`."""
-        if subdivide_to is not None and box.max_abs_delta > subdivide_to * (1 + 1e-9):
-            try:
-                children = refine2(box)
-            except ValueError:
-                children = None
-            if children:
-                return [p for child in children for p in self._pieces(child, subdivide_to)]
-        return [box]
+        """The box, or its 2-refinement, level by level, down to
+        `subdivide_to`; no pieces when that takes more than _MAX_PIECES."""
+        levels, count = _refinement(box, subdivide_to)
+        if count > _MAX_PIECES:
+            return []
+        pieces = [box]
+        for _ in range(levels):
+            pieces = [child for piece in pieces for child in refine2(piece)]
+        return pieces
 
     def _by_branch(self, boxes: Sequence[HyperRect], method: Optional[str] = None):
         """The branches of each box, and for each (box index, branch) its

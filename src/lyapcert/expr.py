@@ -1,7 +1,7 @@
 """Expression ASTs, a small parser, and generic evaluation.
 
 One parsed expression serves every evaluation mode: plain floats, batched
-numpy arrays, intervals, and first/second-order dual numbers.  The grammar:
+numpy arrays, interval arrays, and first/second-order dual numbers.  The grammar:
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
@@ -23,7 +23,7 @@ import numpy as np
 
 from .ad import Dual, Dual2, dual_seeds, dual2_seeds, hessian_of
 from .errors import ParseError
-from .interval import Interval, IntervalVector
+from .interval import IntervalArray
 from .scalars import abs_, div_, pow_, sqrt_
 
 # -- AST nodes ------------------------------------------------------------
@@ -308,7 +308,7 @@ def _render(e: Expr, parent_prec: int) -> str:
 
 
 def eval_any(e: Expr, env):
-    """Evaluate over any payload sequence (floats, arrays, intervals, duals)."""
+    """Evaluate over any payload sequence (floats, arrays, interval arrays, duals)."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -348,11 +348,14 @@ def eval_batch(e: Expr, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_interval(e: Expr, box: IntervalVector) -> Interval:
-    """Enclosure of the image of the expression over the box."""
-    out = eval_any(e, list(box))
-    if not isinstance(out, Interval):
-        out = Interval.point(float(out))
+def eval_interval(e: Expr, box: IntervalArray) -> IntervalArray:
+    """Enclosures of the image of the expression over N boxes, given as an
+    IntervalArray of shape (n, N) (one box: HyperRect.to_interval_vector());
+    an IntervalArray of shape (N,)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+        out = eval_any(e, list(box))
+    if not isinstance(out, IntervalArray):
+        out = box[0].constant(out)
     return out
 
 
@@ -366,15 +369,16 @@ def eval_grad(e: Expr, x):
     return float(out.value), np.array(out.grad, dtype=float)
 
 
-def eval_hess_interval(e: Expr, box: IntervalVector):
-    """Enclosures of value, gradient and Hessian over the box.
+def eval_hess_interval(e: Expr, box: IntervalArray):
+    """Enclosures of value, gradient and Hessian over N boxes, given as an
+    IntervalArray of shape (n, N).
 
-    Returns (Interval, IntervalVector, IntervalMatrix); the Hessian is
-    symmetric by construction.  The box is evaluated as a one-entry batch.
+    Returns IntervalArrays of shapes (N,), (n, N) and (N, n, n); the
+    Hessian is symmetric by construction.
     """
-    n = len(box)
-    out = eval_any(e, dual2_seeds(list(box)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = eval_any(e, dual2_seeds(list(box)))
     hess = hessian_of(out, box)
     if not isinstance(out, Dual2):
-        return Interval.point(float(out)), IntervalVector([Interval.point(0.0)] * n), hess
-    return out.value[0].tolist(), IntervalVector(out.grad[:, 0].tolist()), hess
+        return box[0].constant(out), IntervalArray.point(np.zeros(box.lo.shape)), hess
+    return out.value, out.grad, hess

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .interval import IntervalArray, IntervalVector
+from .interval import IntervalArray
 
 
 class HyperRect:
@@ -89,8 +89,9 @@ class HyperRect:
             and np.all(other.upper <= self.upper + 1e-12)
         )
 
-    def to_interval_vector(self) -> IntervalVector:
-        return IntervalVector.from_bounds(self.lower, self.upper)
+    def to_interval_vector(self) -> IntervalArray:
+        """The box as a batch of one: an IntervalArray of shape (n, 1)."""
+        return interval_batch([self])
 
     def vertices(self) -> Iterable[np.ndarray]:
         offs = [(self.hi_offsets[i], self.lo_offsets[i]) for i in range(self.n)]
@@ -102,10 +103,7 @@ class HyperRect:
 
 
 def interval_batch(boxes: Sequence[HyperRect]) -> IntervalArray:
-    """N boxes as one IntervalArray of shape (n, N): row i is axis i of every box.
-
-    Entry k holds the same endpoints as boxes[k].to_interval_vector().
-    """
+    """N boxes as one IntervalArray of shape (n, N): row i is axis i of every box."""
     centers = np.array([b.center for b in boxes])
     lower = centers + np.array([b.lo_offsets for b in boxes])
     upper = centers + np.array([b.hi_offsets for b in boxes])

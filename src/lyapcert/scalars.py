@@ -2,9 +2,9 @@
 
 The expression evaluator and the dual-number chain rules are written once
 against these helpers, which dispatch on the payload type: Python floats,
-numpy arrays (batched evaluation), intervals, interval arrays (batched
-enclosures), and dual numbers.  Batched payloads give, entry by entry,
-the same numbers as their scalar counterparts.
+numpy arrays (batched evaluation), interval arrays (enclosures; an
+Interval is the 0-d one), and dual numbers.  Batched payloads give,
+entry by entry, the same numbers as their one-entry counterparts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-from .interval import _SQRT_TOL, Interval, IntervalArray, pow_each
+from .interval import _SQRT_TOL, IntervalArray, pow_each
 
 
 def sqrt_(v):
@@ -79,12 +79,6 @@ def strict_sign(v):
         if np.all(v.hi < 0.0):
             return -1
         return None
-    if isinstance(v, Interval):
-        if v.lo > 0.0:
-            return 1
-        if v.hi < 0.0:
-            return -1
-        return None
     return strict_sign(v.value)  # dual numbers: sign of the primal
 
 
@@ -94,20 +88,9 @@ def lift_like(template, c):
         return float(c)  # broadcasting handles the rest
     if isinstance(template, numbers.Real):
         return float(c)
-    if isinstance(template, Interval):
-        if isinstance(c, Interval):
-            return c
-        return Interval.point(float(c))
     if isinstance(template, IntervalArray):
         return template.constant(c)
     return template.lift(c)  # dual numbers lift recursively
-
-
-def as_batch(v):
-    """A batched payload: an Interval or a float becomes a one-entry array."""
-    if isinstance(v, Interval):
-        return IntervalArray(np.array([v.lo]), np.array([v.hi]))
-    return np.array([float(v)]) if isinstance(v, numbers.Real) else v
 
 
 def full_like(template, c):

@@ -18,7 +18,7 @@ from .errors import BranchOverflowError, CoverageError, DomainError, LyapcertErr
 from .expr import Expr, VectorField, eval_any, eval_interval, eval_real, shift_vars
 from .expr import Bin, Const, Var
 from .geometry import HyperRect, interval_batch
-from .interval import Interval, IntervalArray, IntervalVector, require_no_nan
+from .interval import IntervalArray, require_no_nan
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -53,8 +53,9 @@ class Guard:
             return value <= 0.0
         return value >= 0.0
 
-    def feasible_interval(self, rng: Interval, literal: bool = False) -> bool:
-        """Can some point of the range satisfy the guard?
+    def feasible_interval(self, rng: IntervalArray, literal: bool = False):
+        """Can some point of the range satisfy the guard?  One bool per
+        entry of the range.
 
         Closure semantics (default) count a touched boundary for both
         sides; literal semantics require an actual satisfying point, which
@@ -425,29 +426,24 @@ def _enclose(exprs, ivals: IntervalArray):
 
     Returns an IntervalArray of shape (len(exprs), K) and {entry: error}.
     When the batch leaves a domain or a float power overflows, each entry
-    is evaluated again over Intervals, so that a failing entry gets the
+    is evaluated again as a batch of one, so that a failing entry gets the
     DomainError or OverflowError of its own evaluation.  A NaN endpoint
-    raises ValueError, as Interval does.
+    raises ValueError, as it does for an Interval.
     """
     K = ivals.lo.shape[1]
     lo = np.zeros((len(exprs), K))
     hi = np.zeros_like(lo)
     errors = {}
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
-            for i, e in enumerate(exprs):
-                out = eval_any(e, list(ivals))
-                if isinstance(out, IntervalArray):
-                    lo[i], hi[i] = out.lo, out.hi
-                else:
-                    lo[i] = hi[i] = float(out)
+        for i, e in enumerate(exprs):
+            out = eval_interval(e, ivals)
+            lo[i], hi[i] = out.lo, out.hi
     except (DomainError, OverflowError):
         for j in range(K):
-            box = IntervalVector.from_bounds(ivals.lo[:, j], ivals.hi[:, j])
             try:
                 for i, e in enumerate(exprs):
-                    rng = eval_interval(e, box)
-                    lo[i, j], hi[i, j] = rng.lo, rng.hi
+                    out = eval_interval(e, ivals[:, j : j + 1])
+                    lo[i, j], hi[i, j] = out.lo[0], out.hi[0]
             except (DomainError, OverflowError) as exc:
                 errors[j] = exc
     require_no_nan(lo, hi)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from lyapcert import CandidateV, HyperRect, VectorField, parse_expr
+from lyapcert import CandidateV, HyperRect, IntervalArray, VectorField, parse_expr
 from lyapcert.system import Guard, PiecewiseSystem, Region
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "lyapcert" / "configs"
@@ -14,6 +14,11 @@ CONFIG_DIR = Path(__file__).parent.parent / "src" / "lyapcert" / "configs"
 
 def _field(dim, *texts):
     return VectorField(dim, tuple(parse_expr(t, dim) for t in texts))
+
+
+def one_box(lo, hi):
+    """The box [lo, hi] as a batch of one: an IntervalArray of shape (n, 1)."""
+    return IntervalArray(np.array(lo, dtype=float)[:, None], np.array(hi, dtype=float)[:, None])
 
 
 @pytest.fixture(scope="session")

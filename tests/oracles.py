@@ -2,11 +2,17 @@
 
 Everything here avoids the interval/dual machinery under test: batched
 numpy simulation of the piecewise dynamics, central finite differences,
-and dense random sampling.
+dense random sampling, and RefInterval, a scalar interval type over
+Python floats with its own copy of the endpoint formulas.
 """
+
+import math
+import numbers
+import sys
 
 import numpy as np
 
+from lyapcert.errors import DomainError
 from lyapcert.expr import eval_batch
 
 
@@ -99,3 +105,189 @@ def fd_hessian(f, x, h=1e-4):
 
 def sample_box(box, n_points, rng):
     return rng.uniform(box.lower, box.upper, size=(n_points, box.n))
+
+
+# -- the scalar reference interval ---------------------------------------------
+#
+# The scalar Interval that the library had before IntervalArray became its
+# only implementation, kept verbatim (renamed) as the reference that the
+# library's intervals must match bit for bit: the same endpoint formulas,
+# outward inflation and special cases, one Python float at a time.
+
+_REL = 4.0 * sys.float_info.epsilon
+_SQRT_TOL = 1e-12
+
+
+def _down(x: float) -> float:
+    if x == 0.0 or math.isinf(x):
+        return x
+    return x - _REL * abs(x)
+
+
+def _up(x: float) -> float:
+    if x == 0.0 or math.isinf(x):
+        return x
+    return x + _REL * abs(x)
+
+
+class RefInterval:
+    """Closed interval [lo, hi] with outward-rounded arithmetic."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        lo = float(lo)
+        hi = float(hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("interval endpoints must not be NaN")
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def point(cls, x: float) -> "RefInterval":
+        x = float(x)
+        return cls(x, x)
+
+    # -- basic queries ---------------------------------------------------
+
+    def __repr__(self) -> str:
+        return f"RefInterval({self.lo!r}, {self.hi!r})"
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RefInterval)
+            and self.lo == other.lo
+            and self.hi == other.hi
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+    def encloses(self, other: "RefInterval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
+
+    def intersects(self, other: "RefInterval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    def magnitude(self) -> float:
+        """max(|lo|, |hi|): upper bound on |x| over the interval."""
+        return max(abs(self.lo), abs(self.hi))
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, RefInterval):
+            return RefInterval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return RefInterval(_down(self.lo + c), _up(self.hi + c))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefInterval):
+            return RefInterval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return RefInterval(_down(self.lo - c), _up(self.hi - c))
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            return RefInterval(_down(c - self.hi), _up(c - self.lo))
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, RefInterval):
+            p1 = self.lo * other.lo
+            p2 = self.lo * other.hi
+            p3 = self.hi * other.lo
+            p4 = self.hi * other.hi
+            if math.isnan(p1) or math.isnan(p2) or math.isnan(p3) or math.isnan(p4):
+                # 0 * inf: give up tightness, stay sound
+                return RefInterval(-math.inf, math.inf)
+            return RefInterval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            if c >= 0.0:
+                return RefInterval(_down(self.lo * c), _up(self.hi * c))
+            return RefInterval(_down(self.hi * c), _up(self.lo * c))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, RefInterval):
+            if other.lo <= 0.0 <= other.hi:
+                raise DomainError(f"division by interval containing zero: {other}")
+            q1 = self.lo / other.lo
+            q2 = self.lo / other.hi
+            q3 = self.hi / other.lo
+            q4 = self.hi / other.hi
+            return RefInterval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
+        if isinstance(other, numbers.Real):
+            c = float(other)
+            if c == 0.0:
+                raise DomainError("division by zero")
+            if c > 0.0:
+                return RefInterval(_down(self.lo / c), _up(self.hi / c))
+            return RefInterval(_down(self.hi / c), _up(self.lo / c))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return RefInterval.point(float(other)) / self
+        return NotImplemented
+
+    def __neg__(self):
+        return RefInterval(-self.hi, -self.lo)
+
+    def __abs__(self):
+        if self.lo >= 0.0:
+            return RefInterval(self.lo, self.hi)
+        if self.hi <= 0.0:
+            return RefInterval(-self.hi, -self.lo)
+        return RefInterval(0.0, max(-self.lo, self.hi))
+
+    def sqrt(self) -> "RefInterval":
+        if self.lo < -_SQRT_TOL:
+            raise DomainError(f"sqrt of interval with negative values: {self}")
+        lo = max(self.lo, 0.0)
+        hi = max(self.hi, 0.0)
+        return RefInterval(_down(math.sqrt(lo)), _up(math.sqrt(hi)))
+
+    def pow_int(self, k: int) -> "RefInterval":
+        """Tight enclosure of x**k with the image rule for even exponents."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("pow_int exponent must be a non-negative integer")
+        if k == 0:
+            return RefInterval(1.0, 1.0)
+        if k == 1:
+            return RefInterval(self.lo, self.hi)
+        if k % 2 == 0:
+            hi_mag = self.magnitude()
+            if self.lo <= 0.0 <= self.hi:
+                lo_mag = 0.0
+            else:
+                lo_mag = min(abs(self.lo), abs(self.hi))
+            return RefInterval(_down(lo_mag**k), _up(hi_mag**k))
+        return RefInterval(_down(self.lo**k), _up(self.hi**k))
+
+    def hull(self, other: "RefInterval") -> "RefInterval":
+        """Smallest interval containing both operands."""
+        return RefInterval(min(self.lo, other.lo), max(self.hi, other.hi))

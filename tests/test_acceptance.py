@@ -24,7 +24,6 @@ from lyapcert.expr import (
     eval_real,
     parse_expr,
 )
-from lyapcert.interval import IntervalVector
 from lyapcert.localyap import max_level_in_box, solve_discrete_lyapunov
 from lyapcert.pipeline import run_verify_ct, run_verify_dt
 from lyapcert.system import (
@@ -36,7 +35,7 @@ from lyapcert.system import (
 from lyapcert.expr import VectorField
 from lyapcert.verifier import DecreaseContext, VerifyConfig, build_certified_region
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, one_box
 from oracles import decrease_batch, fd_gradient, sample_box
 
 PAPER_SAMPLES_2D = 2012
@@ -362,7 +361,7 @@ def test_criterion9_interval_and_ad():
         e = _random_expr(rng, dim)
         lo = rng.uniform(-1.2, 0.2, dim)
         hi = lo + rng.uniform(0.2, 1.0, dim)
-        enclosure = eval_interval(e, IntervalVector.from_bounds(lo, hi))
+        enclosure = eval_interval(e, one_box(lo, hi))
         pts = rng.uniform(lo, hi, size=(10000, dim))
         vals = eval_batch(e, pts)
         assert np.all(vals >= enclosure.lo) and np.all(vals <= enclosure.hi)
@@ -382,14 +381,14 @@ def test_criterion9_interval_and_ad():
         e = _random_expr(rng, dim)
         lo = rng.uniform(-1.0, 0.0, dim)
         hi = lo + rng.uniform(0.1, 0.6, dim)
-        _, _, hess = eval_hess_interval(e, IntervalVector.from_bounds(lo, hi))
+        _, _, hess = eval_hess_interval(e, one_box(lo, hi))
         for _ in range(3):
             x = rng.uniform(lo, hi)
             H = fd_hessian(lambda p: eval_real(e, p), x)
             for i in range(dim):
                 for j in range(dim):
                     slack = 1e-4 * max(1.0, abs(H[i, j]))
-                    assert hess[i, j].lo - slack <= H[i, j] <= hess[i, j].hi + slack
+                    assert hess.lo[0, i, j] - slack <= H[i, j] <= hess.hi[0, i, j] + slack
     _report("criterion 9", True, "inclusion, gradient, Hessian suites")
 
 

@@ -1,18 +1,19 @@
-"""Batched evaluation against the scalar Interval path, bit for bit.
+"""Batched evaluation against scalar references, bit for bit.
 
 The batched code (IntervalArray payloads, assess_boxes, verify_boxes,
 WContext.lower_bounds, the batched branch enumeration and the batched
 point walks) must give every box and point exactly the numbers, or the
 error, that the one-item evaluation gives, whatever else is in the batch.
 The scalar references below are the per-item code written directly over
-Interval and float payloads: the box walk that forks on interval guards,
-the point walk through resolve_region and step, the per-box assessment
-(the point value and gradient from float duals, the Hessian from
-second-order duals over Intervals, then the same reductions) and the
-box-by-box hole audit of the local certificate.  The second-order duals
-of the reference keep their gradient and Hessian as tuples of separate
-payloads, entry by entry (TupleDual2); the library's Dual2 stacks them,
-and must give every entry the same bits.
+RefInterval (the test-local scalar interval of oracles.py, with its own
+copy of the endpoint formulas) and float payloads: the box walk that
+forks on interval guards, the point walk through resolve_region and
+step, the per-box assessment (the point value and gradient from float
+duals, the Hessian from second-order duals over RefIntervals, then the
+same reductions) and the box-by-box hole audit of the local certificate.
+The second-order duals of the reference keep their gradient and Hessian
+as tuples of separate payloads, entry by entry (TupleDual2); the
+library's Dual2 stacks them, and must give every entry the same bits.
 """
 
 import math
@@ -40,7 +41,6 @@ from lyapcert.bounds import (
     assess_boxes,
     box_radius,
     certificate_slack,
-    combined_coefficient,
     gradient_coefficient,
     interval_values,
     remainder_bound,
@@ -56,10 +56,9 @@ from lyapcert.expr import (
     Var,
     eval_any,
     eval_hess_interval,
-    eval_interval,
 )
 from lyapcert.geometry import interval_batch, refine2
-from lyapcert.interval import Interval, IntervalArray, IntervalMatrix, IntervalVector
+from lyapcert.interval import IntervalArray
 from lyapcert.scalars import div_, lift_like, pow_, sqrt_, strict_sign
 from lyapcert.system import (
     DomainExit,
@@ -79,7 +78,7 @@ from lyapcert.verifier import (
 )
 
 from conftest import CONFIG_DIR, _field
-from oracles import sample_box
+from oracles import RefInterval, sample_box
 
 # numpy reports overflow and 0 * inf where Python floats stay silent; the
 # batched drivers silence it, the operation-level tests here do the same
@@ -103,6 +102,35 @@ def same(a, b):
 # -- the scalar reference ------------------------------------------------------
 
 
+def ref_lift(template, c):
+    """lift_like, with a RefInterval payload lifted to a RefInterval point."""
+    if isinstance(template, RefInterval):
+        return c if isinstance(c, RefInterval) else RefInterval.point(float(c))
+    return lift_like(template, c)
+
+
+def ref_sign(v):
+    """strict_sign, for RefInterval payloads too."""
+    if isinstance(v, RefInterval):
+        return 1 if v.lo > 0.0 else (-1 if v.hi < 0.0 else None)
+    return strict_sign(v)
+
+
+def ref_box(box):
+    """A box as a list of RefIntervals, one per axis."""
+    return [RefInterval(a, b) for a, b in zip(box.lower.tolist(), box.upper.tolist())]
+
+
+def ref_point(out):
+    """An evaluation's result as a RefInterval (a constant as a point)."""
+    return out if isinstance(out, RefInterval) else RefInterval.point(float(out))
+
+
+def ref_eval(e, ivec):
+    """An expression's enclosure over a list of RefIntervals."""
+    return ref_point(eval_any(e, ivec))
+
+
 class TupleDual2:
     """Second-order dual number with the gradient and the symmetric Hessian
     as tuples of payloads, one chain-rule formula per entry."""
@@ -116,9 +144,9 @@ class TupleDual2:
 
     def lift(self, c):
         n = len(self.grad)
-        zero = lift_like(self.value, 0.0)
+        zero = ref_lift(self.value, 0.0)
         zrow = (zero,) * n
-        return TupleDual2(lift_like(self.value, c), (zero,) * n, (zrow,) * n)
+        return TupleDual2(ref_lift(self.value, c), (zero,) * n, (zrow,) * n)
 
     def _coerce(self, other):
         if isinstance(other, TupleDual2):
@@ -187,7 +215,7 @@ class TupleDual2:
         return TupleDual2(-self.value, g, h)
 
     def __abs__(self):
-        s = strict_sign(self.value)
+        s = ref_sign(self.value)
         if s is None:
             raise DomainError("abs is not differentiable at a sign change")
         return self if s > 0 else -self
@@ -210,7 +238,7 @@ class TupleDual2:
             return self
         n = len(self.grad)
         u = k * pow_(self.value, k - 1)
-        w = lift_like(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
+        w = ref_lift(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
         g = tuple(u * gi for gi in self.grad)
         rows = [
             [u * self.hess[i][j] + w * (self.grad[i] * self.grad[j]) for j in range(i + 1)]
@@ -229,30 +257,45 @@ def tuple_dual2_seeds(payloads):
     n = len(payloads)
     seeds = []
     for i, p in enumerate(payloads):
-        one, zero = lift_like(p, 1.0), lift_like(p, 0.0)
+        one, zero = ref_lift(p, 1.0), ref_lift(p, 0.0)
         zrow = (zero,) * n
         seeds.append(TupleDual2(p, tuple(one if j == i else zero for j in range(n)), (zrow,) * n))
     return seeds
 
 
 def scalar_hessian(fmap, box):
-    """The map's Hessian over one box from tuple duals over Intervals."""
+    """The map's Hessian over one box from tuple duals over RefIntervals,
+    as rows of RefIntervals."""
     n = box.n
-    out = fmap._eval(tuple_dual2_seeds(list(box.to_interval_vector())))
+    out = fmap._eval(tuple_dual2_seeds(ref_box(box)))
     if not isinstance(out, TupleDual2):
-        return IntervalMatrix([[Interval.point(0.0)] * n for _ in range(n)])
-    return IntervalMatrix(out.hess)
+        return [[RefInterval.point(0.0)] * n for _ in range(n)]
+    return out.hess
+
+
+def scalar_range(fmap, box):
+    """The map's enclosure over one box from RefIntervals.
+
+    The flow map seeds the library's first-order duals, which cannot lift
+    a constant into a RefInterval; its enclosure is the value part of the
+    tuple duals instead, which takes the same operations on the values,
+    with constants lifted to point intervals.
+    """
+    if isinstance(fmap, DerivativeAlongFlowMap):
+        out = fmap._eval(tuple_dual2_seeds(ref_box(box)))
+        return ref_point(out.value if isinstance(out, TupleDual2) else out)
+    return ref_point(fmap._eval(ref_box(box)))
 
 
 def scalar_combined_coefficient(grad0, hess, box, pairing):
-    """||grad F(x_s) + 1/2 (x - x_s)' H|| bounded entry by entry over Intervals."""
+    """||grad F(x_s) + 1/2 (x - x_s)' H|| bounded entry by entry over RefIntervals."""
     n = box.n
-    offs = [Interval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(n)]
+    offs = [RefInterval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(n)]
     mags = []
     for j in range(n):
-        v = Interval.point(float(grad0[j]))
+        v = RefInterval.point(float(grad0[j]))
         for i in range(n):
-            v = v + offs[i] * hess[i, j] * 0.5
+            v = v + offs[i] * hess[i][j] * 0.5
         mags.append(v.magnitude())
     return float(np.linalg.norm(mags)) if pairing == PAIR_L2 else float(sum(mags))
 
@@ -260,23 +303,25 @@ def scalar_combined_coefficient(grad0, hess, box, pairing):
 def scalar_regions_intersecting(sys_, ivec, literal=False):
     out = []
     for i, region in enumerate(sys_.regions):
-        if all(g.feasible_interval(eval_interval(g.expr, ivec), literal) for g in region.guards):
+        if all(g.feasible_interval(ref_eval(g.expr, ivec), literal) for g in region.guards):
             out.append(i)
     return tuple(out)
 
 
 def scalar_box_branches(sys_, box, M, domain=None, cap=64):
     """The one-box walk: fork on every region whose guards are feasible."""
-    dom = domain.to_interval_vector() if domain is not None else None
-    states = [(box.to_interval_vector(), ())]
+    dom = ref_box(domain) if domain is not None else None
+    states = [(ref_box(box), ())]
     for step_idx in range(M):
         nxt = []
         for ivec, seq in states:
             for idx in scalar_regions_intersecting(sys_, ivec, literal=True):
-                image = IntervalVector(
-                    [eval_interval(c, ivec) for c in sys_.regions[idx].field.components]
-                )
-                if dom is not None and step_idx < M - 1 and not dom.encloses(image):
+                image = [ref_eval(c, ivec) for c in sys_.regions[idx].field.components]
+                if (
+                    dom is not None
+                    and step_idx < M - 1
+                    and not all(d.encloses(x) for d, x in zip(dom, image))
+                ):
                     raise DomainExit(
                         f"state enclosure left the declared domain at step {step_idx + 1}"
                     )
@@ -292,7 +337,7 @@ def scalar_box_branches(sys_, box, M, domain=None, cap=64):
 def scalar_ctx_branches(ctx, box):
     """The branches of one box under a verification or W context."""
     if isinstance(ctx, FlowDerivativeContext):
-        regions = scalar_regions_intersecting(ctx.ct_sys, box.to_interval_vector(), literal=True)
+        regions = scalar_regions_intersecting(ctx.ct_sys, ref_box(box), literal=True)
         seqs = scalar_box_branches(ctx.dt_sys, box, ctx.M - 1, ctx.domain, ctx.cap)
         pairs = [(r, s) for r in regions for s in seqs]
         if len(pairs) > ctx.cap:
@@ -325,9 +370,11 @@ def outcome_of(fn, *args):
 
 
 def same_result(got, ref):
-    """Equal results, or errors of the same type with the same message."""
+    """Equal results, or errors of the same type with the same message.  The
+    message of a RefInterval operation's error names its operand, where the
+    library's names none, so for those only the types must match."""
     if isinstance(ref, Exception):
-        return type(got) is type(ref) and str(got) == str(ref)
+        return type(got) is type(ref) and (str(got) == str(ref) or "RefInterval(" in str(ref))
     if isinstance(ref, float):
         return isinstance(got, float) and same(got, ref)
     return got == ref
@@ -336,8 +383,9 @@ def same_result(got, ref):
 def scalar_assess(fmap, box, method, pairing):
     value, grad = fmap.value_and_grad(box.center)
     hess = scalar_hessian(fmap, box)
+    mags = [[e.magnitude() for e in row] for row in hess]
     split = BoundCoefficients(
-        gradient_coefficient(grad, pairing), remainder_bound(hess, box.tau), SPLIT
+        gradient_coefficient(grad, pairing), remainder_bound(mags, box.tau), SPLIT
     )
     combined = None
     if method in (COMBINED, BEST):
@@ -405,7 +453,7 @@ def scalar_lower_bound(wctx, box, method=SPLIT, subdivide_to=None):
     try:
         enclosure = None
         for seq in branches:
-            rng = wctx.map_for(seq).interval_value(box.to_interval_vector())
+            rng = scalar_range(wctx.map_for(seq), box)
             enclosure = rng if enclosure is None else enclosure.hull(rng)
         if enclosure is not None and math.isfinite(enclosure.lo):
             best = enclosure.lo if best is None else max(best, enclosure.lo)
@@ -464,11 +512,11 @@ WITH_REAL = {
 
 
 def _check_batched(op, operands):
-    """op over IntervalArrays equals op over each row of Intervals."""
+    """op over IntervalArrays equals op over each row of RefIntervals."""
     expected = []
     for row in operands:
         try:
-            expected.append(op(*[Interval(*x) if isinstance(x, tuple) else x for x in row]))
+            expected.append(op(*[RefInterval(*x) if isinstance(x, tuple) else x for x in row]))
         except DomainError:
             expected.append(None)
     ok = [k for k, e in enumerate(expected) if e is not None]
@@ -555,7 +603,7 @@ def test_batched_powers_use_scalar_pow(k):
     got = IntervalArray.point(xs).pow_int(k)
     values = eval_batch(parse_expr(f"x1^{k}", 1), np.array(xs)[:, None])
     for pos, x in enumerate(xs):
-        ref = Interval.point(x).pow_int(k)
+        ref = RefInterval.point(x).pow_int(k)
         assert same(got.lo[pos], ref.lo) and same(got.hi[pos], ref.hi)
         assert same(values[pos], eval_real(parse_expr(f"x1^{k}", 1), [x]))
 
@@ -618,7 +666,7 @@ def dual2_outcome(fn, seeds):
 
 
 def same_interval(got, ref):
-    """Sign-exact equality of an IntervalArray or Interval with a reference."""
+    """Sign-exact equality of an IntervalArray with a RefInterval or IntervalArray reference."""
     ends = lambda x: np.ravel(x.lo).tolist() + np.ravel(x.hi).tolist()  # noqa: E731
     return all(same(a, b) for a, b in zip(ends(got), ends(ref)))
 
@@ -671,8 +719,8 @@ def random_payloads(rng, n, N, scale=1.0):
 
 def assert_stacked_matches(expr, payloads):
     """expr over stacked duals equals expr over tuple duals, for a batch of
-    IntervalArrays, for float arrays, and for each box of the batch over
-    Intervals (one-entry arrays)."""
+    IntervalArrays, for float arrays, and for each box of the batch (a
+    batch of one, against tuple duals over RefIntervals)."""
     fn = lambda seeds: eval_any(expr, seeds)  # noqa: E731
     # IntervalArrays, then float arrays (exact derivatives at the lower corners)
     for rows in (list(payloads), list(payloads.lo)):
@@ -680,11 +728,12 @@ def assert_stacked_matches(expr, payloads):
         assert_same_dual2(got, dual2_outcome(fn, tuple_dual2_seeds(rows)))
     n, N = payloads.lo.shape
     for k in range(N):
-        box = IntervalVector.from_bounds(payloads.lo[:, k], payloads.hi[:, k])
-        ref = dual2_outcome(fn, tuple_dual2_seeds(list(box)))
+        box = payloads[:, k : k + 1]
+        ivec = [RefInterval(a, b) for a, b in zip(box.lo[:, 0].tolist(), box.hi[:, 0].tolist())]
+        ref = dual2_outcome(fn, tuple_dual2_seeds(ivec))
         got = dual2_outcome(fn, dual2_seeds(list(box)))
-        # the Interval reference refuses a NaN endpoint as soon as one is
-        # made; the one-entry arrays refuse it when it is used or read
+        # the RefInterval reference refuses a NaN endpoint as soon as one
+        # is made; the one-entry arrays refuse it when it is used or read
         if isinstance(ref, ValueError):
             continue
         if isinstance(ref, (DomainError, OverflowError)):
@@ -697,7 +746,7 @@ def assert_stacked_matches(expr, payloads):
             for i in range(n):
                 assert same_interval(grad[i], ref.grad[i])
                 for j in range(n):
-                    assert same_interval(hess[i, j], ref.hess[i][j])
+                    assert same_interval(hess[0, i, j], ref.hess[i][j])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -841,19 +890,17 @@ def _assert_assessment_matches(fmap, boxes, method, pairing):
         assert (got.combined is None) == (ref.combined is None)
         if ref.combined is not None:
             assert same(got.combined.a, ref.combined.a)
-            # the one-box form of the same code
-            grad = fmap.value_and_grad(box.center)[1]
-            one_hess = fmap.interval_hessian(box.to_interval_vector())
-            one_box = combined_coefficient(grad, one_hess, box, pairing)
-            assert same(one_box, ref.combined.a)
+            # the same box alone
+            one_box = assess_boxes(fmap, [box], method, pairing)[0]
+            assert same(one_box.combined.a, ref.combined.a)
         H = scalar_hessian(fmap, box)
         one = fmap.interval_hessian(box.to_interval_vector())
         n = box.n
         for i in range(n):
             for j in range(n):
-                assert same(hess.lo[k, i, j], H[i, j].lo) and same(hess.hi[k, i, j], H[i, j].hi)
-                assert same(one[i, j].lo, H[i, j].lo) and same(one[i, j].hi, H[i, j].hi)
-        rng = fmap.interval_value(box.to_interval_vector())
+                assert same(hess.lo[k, i, j], H[i][j].lo) and same(hess.hi[k, i, j], H[i][j].hi)
+                assert same(one.lo[0, i, j], H[i][j].lo) and same(one.hi[0, i, j], H[i][j].hi)
+        rng = scalar_range(fmap, box)
         assert same(ranges[k][0], rng.lo) and same(ranges[k][1], rng.hi)
     return batched, ranges
 
@@ -957,7 +1004,7 @@ def test_w_lower_bounds_match_scalar(switched_sys):
         for box, got in zip(boxes, ranges):
             ref = None
             for seq in scalar_ctx_branches(wctx, box):
-                rng = wctx.map_for(seq).interval_value(box.to_interval_vector())
+                rng = scalar_range(wctx.map_for(seq), box)
                 ref = rng if ref is None else ref.hull(rng)
             one = wctx.interval_values_over_boxes([box])[0]
             for r in (ref, one):
@@ -1064,6 +1111,7 @@ def _assert_enumeration_matches(sys_, boxes, walks):
             one = outcome_of(enumerate_box_branches, sys_, box, M, domain, cap)
             assert same_result(got, ref), (box, M, domain, cap, got, ref)
             assert same_result(one, ref), (box, M, domain, cap, one, ref)
+            assert same_result(got, one), (box, M, domain, cap, got, one)
             kinds.add(type(ref).__name__)
     return kinds
 
@@ -1295,15 +1343,15 @@ def test_local_set_audit_reaches_errors_like_the_point_loop():
 
 
 def scalar_hole_escapes(dsys, boxes, P, level):
-    """The box-by-box hole audit of verify_local over Intervals."""
+    """The box-by-box hole audit of verify_local over RefIntervals."""
     for box in boxes:
-        ivec = box.to_interval_vector()
-        low = quad_form(P, list(ivec))
-        if not (low.lo if isinstance(low, Interval) else low) <= level:
+        ivec = ref_box(box)
+        low = quad_form(P, ivec)
+        if not (low.lo if isinstance(low, RefInterval) else low) <= level:
             continue
         for ridx in scalar_regions_intersecting(dsys, ivec):
-            v = quad_form(P, [eval_interval(c, ivec) for c in dsys.regions[ridx].field.components])
-            if (v.hi if isinstance(v, Interval) else v) > level:
+            v = quad_form(P, [ref_eval(c, ivec) for c in dsys.regions[ridx].field.components])
+            if (v.hi if isinstance(v, RefInterval) else v) > level:
                 return True
     return False
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from lyapcert import CandidateV, HyperRect
+from lyapcert.ad import dual2_seeds, hessian_of
 from lyapcert.bounds import (
+    _BranchMap,
+    assess_boxes,
     BoundCoefficients,
     DecreaseMap,
     DerivativeAlongFlowMap,
@@ -10,7 +13,6 @@ from lyapcert.bounds import (
     assess_branch,
     box_radius,
     certificate_slack,
-    combined_coefficient,
     gradient_coefficient,
     remainder_bound,
     w_point_value,
@@ -18,6 +20,7 @@ from lyapcert.bounds import (
 from lyapcert.expr import eval_hess_interval, parse_expr
 from lyapcert.system import euler_discretize
 
+from conftest import one_box
 from oracles import decrease_batch, fd_gradient, sample_box
 
 
@@ -40,11 +43,8 @@ def test_gradient_coefficient_against_fd(switched_sys):
 
 def test_remainder_bound_constant_hessian():
     e = parse_expr("x1^2 + x2^2", 2)
-    from lyapcert.interval import Interval, IntervalVector
-
-    box = IntervalVector([Interval(0, 1), Interval(0, 1)])
-    _, _, hess = eval_hess_interval(e, box)
-    b = remainder_bound(hess, np.array([0.5, 0.5]))
+    _, _, hess = eval_hess_interval(e, one_box([0, 0], [1, 1]))
+    b = remainder_bound(hess.magnitude()[0], np.array([0.5, 0.5]))
     assert b == pytest.approx(0.5, rel=1e-10)
 
 
@@ -63,19 +63,15 @@ def test_remainder_bound_ignores_memory_layout():
 
 def test_remainder_bound_linear_is_zero():
     e = parse_expr("3*x1 - x2", 2)
-    from lyapcert.interval import Interval, IntervalVector
-
-    _, _, hess = eval_hess_interval(e, IntervalVector([Interval(-1, 1), Interval(-1, 1)]))
-    assert remainder_bound(hess, np.array([1.0, 1.0])) == 0.0
+    _, _, hess = eval_hess_interval(e, one_box([-1, -1], [1, 1]))
+    assert remainder_bound(hess.magnitude()[0], np.array([1.0, 1.0])) == 0.0
 
 
 def test_remainder_bound_covers_cubic_residual():
     # residual of the first-order expansion of x^3 on [0, 1] around 0.5
     e = parse_expr("x1^3", 1)
-    from lyapcert.interval import Interval, IntervalVector
-
-    _, _, hess = eval_hess_interval(e, IntervalVector([Interval(0, 1)]))
-    b = remainder_bound(hess, np.array([0.5]))
+    _, _, hess = eval_hess_interval(e, one_box([0], [1]))
+    b = remainder_bound(hess.magnitude()[0], np.array([0.5]))
     xs, dfdx = 0.5, 3 * 0.25
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, 10000)
@@ -105,11 +101,21 @@ def test_slack_monotone():
             assert bumped >= base - 1e-12
 
 
-def test_combined_coefficient_cases(unit_box2):
-    from lyapcert.interval import Interval, IntervalMatrix
+class _LinearMap(_BranchMap):
+    """F(x) = 3 x1 - x2: gradient (3, -1) and a zero Hessian everywhere."""
 
-    zero = IntervalMatrix([[Interval(0, 0)] * 2] * 2)
-    assert combined_coefficient(np.array([3.0, -1.0]), zero, unit_box2) == pytest.approx(4.0)
+    def _eval(self, values):
+        return 3.0 * values[0] - values[1]
+
+    def interval_hessian(self, ivec):
+        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
+
+
+def test_combined_coefficient_cases(unit_box2):
+    # with a zero Hessian the combined coefficient is the gradient's 1-norm
+    bb = assess_boxes(_LinearMap(), [unit_box2], "combined")[0]
+    assert bb.combined.a == pytest.approx(4.0) and bb.combined.b == 0.0
+    assert (bb.split.a, bb.split.b) == (4.0, 0.0)
     const = BoundCoefficients(0.0, 0.0, "split")
     assert const.a == 0.0
 
@@ -260,7 +266,6 @@ def test_flow_derivative_against_trajectory(ct3d_sys):
 def test_flow_derivative_hessian_encloses_fd():
     from lyapcert.expr import VectorField
     from lyapcert.system import PiecewiseSystem, Region
-    from lyapcert.interval import IntervalVector
     from oracles import fd_hessian
 
     f_ct = VectorField(2, (parse_expr("-x1 + x2^2", 2), parse_expr("-2*x2", 2)))
@@ -277,4 +282,33 @@ def test_flow_derivative_hessian_encloses_fd():
         for i in range(2):
             for j in range(2):
                 slack = 1e-4 * max(1.0, abs(H[i, j]))
-                assert hess[i, j].lo - slack <= H[i, j] <= hess[i, j].hi + slack
+                assert hess.lo[0, i, j] - slack <= H[i, j] <= hess.hi[0, i, j] + slack
+
+
+def test_w_bound_refuses_unbounded_refinement():
+    # reaching 0.05 from a half-width of 1e109 takes about 2^361 pieces;
+    # the count is known before any is made, so the box is skipped at once
+    import time
+
+    from lyapcert.bounds import _MAX_PIECES, _refinement
+    from lyapcert.expr import VectorField
+    from lyapcert.system import PiecewiseSystem, Region
+
+    sys1 = PiecewiseSystem(1, "discrete", (Region((), VectorField(1, (parse_expr("0.5*x1^3", 1),))),))
+    wctx = WContext(sys1, CandidateV(np.eye(1), 0.9), 2)
+    huge = HyperRect([1e110], [1e109, -1e109])
+    t0 = time.perf_counter()
+    assert wctx.lower_bounds([huge], subdivide_to=0.05) == [None]
+    assert time.perf_counter() - t0 < 1.0
+    # within the budget the count is exact: 2^(axes * levels), here with
+    # two of three axes split
+    box = HyperRect([0.0, 0.0, 0.0], [0.8, -0.8, 0.8, -0.8, 0.0, 0.0])
+    assert [_refinement(box, s) for s in (None, 0.8, 0.4, 0.1)] == [(0, 1), (0, 1), (1, 4), (3, 64)]
+    assert len(wctx._pieces(box, 0.1)) == 64
+    assert _refinement(box, 0.8 / 2**7)[1] > _MAX_PIECES  # 4^7 pieces
+    # a box inside the budget is bounded as before; one beyond it is not
+    good = HyperRect([0.5], [0.1, -0.1])
+    fine = wctx.lower_bounds([good], subdivide_to=0.1 / 2**10)[0]
+    assert fine is not None and fine <= wctx.value([0.5])
+    assert wctx.lower_bounds([good, huge], subdivide_to=0.1 / 2**10) == [fine, None]
+    assert wctx.lower_bounds([good], subdivide_to=0.1 / 2**13) == [None]

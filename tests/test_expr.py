@@ -11,8 +11,9 @@ from lyapcert.expr import (
     parse_expr,
     pretty,
 )
-from lyapcert.interval import Interval, IntervalVector
+from lyapcert.interval import IntervalArray
 
+from conftest import one_box
 from oracles import fd_gradient, fd_hessian
 
 
@@ -90,24 +91,41 @@ def test_roundtrip_pretty():
 
 def test_eval_interval_simple():
     e = parse_expr("x1^2", 1)
-    r = eval_interval(e, IntervalVector([Interval(-1, 2)]))
-    assert r.lo == pytest.approx(0.0, abs=1e-15)
-    assert r.hi == pytest.approx(4.0, rel=1e-12)
+    r = eval_interval(e, one_box([-1], [2]))
+    assert r.lo.shape == (1,)
+    assert r.lo[0] == pytest.approx(0.0, abs=1e-15)
+    assert r.hi[0] == pytest.approx(4.0, rel=1e-12)
     e2 = parse_expr("x1 + x2", 2)
-    r2 = eval_interval(e2, IntervalVector([Interval(0, 1), Interval(0, 1)]))
-    assert r2.lo == pytest.approx(0.0, abs=1e-15) and r2.hi == pytest.approx(2.0, rel=1e-12)
+    r2 = eval_interval(e2, one_box([0, 0], [1, 1]))
+    assert r2.lo[0] == pytest.approx(0.0, abs=1e-15) and r2.hi[0] == pytest.approx(2.0, rel=1e-12)
+    # three boxes at once, and a constant over each of them
+    boxes = IntervalArray(np.array([[-1.0, 0.0, 1.0]]), np.array([[2.0, 3.0, 4.0]]))
+    r3 = eval_interval(e, boxes)
+    assert r3.lo[2] == pytest.approx(1.0, rel=1e-12) and r3.hi[1] == pytest.approx(9.0, rel=1e-12)
+    two = eval_interval(parse_expr("2", 1), boxes)
+    assert two.lo.tolist() == two.hi.tolist() == [2.0, 2.0, 2.0]
 
 
 def test_eval_interval_contains_samples():
     # dense sampling of the box confirms containment of the image
     e = parse_expr("-0.8*x2 - x1^2", 2)
-    box = IntervalVector([Interval(0.9, 1.1), Interval(-0.1, 0.1)])
-    r = eval_interval(e, box)
-    assert r.contains(-1.0)
+    r = eval_interval(e, one_box([0.9, -0.1], [1.1, 0.1]))
+    assert r.lo[0] <= -1.0 <= r.hi[0]
     rng = np.random.default_rng(0)
     X = np.column_stack([rng.uniform(0.9, 1.1, 2000), rng.uniform(-0.1, 0.1, 2000)])
     vals = eval_batch(e, X)
     assert np.all(vals >= r.lo) and np.all(vals <= r.hi)
+
+
+def test_interval_evaluation_overflow_is_silent():
+    # overflow gives inf, as it does for floats, with no numpy warning
+    # (which the test configuration turns into an error)
+    e = parse_expr("x1*x1 - 1", 1)
+    box = one_box([9e199], [1.1e200])
+    assert eval_interval(e, box).hi[0] == np.inf
+    val, grad, hess = eval_hess_interval(e, box)
+    assert val.lo[0] == np.inf and grad.hi[0, 0] == pytest.approx(2.2e200)
+    assert hess.lo[0, 0, 0] == pytest.approx(2.0)
 
 
 def test_eval_grad_quadratic():
@@ -152,39 +170,42 @@ def test_hessian_encloses_numeric_hessians():
         e = _random_polynomial(rng, dim)
         lo = rng.uniform(-1.5, 0.0, dim)
         hi = lo + rng.uniform(0.1, 0.8, dim)
-        box = IntervalVector.from_bounds(lo, hi)
-        val, grad, hess = eval_hess_interval(e, box)
+        val, grad, hess = eval_hess_interval(e, one_box(lo, hi))
+        assert val.lo.shape == (1,) and grad.lo.shape == (dim, 1)
         for _ in range(5):
             x = rng.uniform(lo, hi)
             H = fd_hessian(lambda p: eval_real(e, p), x)
             for i in range(dim):
                 for j in range(dim):
-                    entry = hess[i, j]
+                    entry = hess[0, i, j]
                     slack = 1e-5 * max(1.0, abs(H[i, j]))
                     assert entry.lo - slack <= H[i, j] <= entry.hi + slack
 
 
 def test_hessian_constant_cases():
     e = parse_expr("x1^2 + x2^2", 2)
-    box = IntervalVector([Interval(-3, 5), Interval(0, 1)])
+    box = one_box([-3, 0], [5, 1])
     _, _, hess = eval_hess_interval(e, box)
-    assert hess[0, 0].lo == pytest.approx(2.0, rel=1e-12)
-    assert hess[0, 0].hi == pytest.approx(2.0, rel=1e-12)
-    assert hess[0, 1].lo == 0.0 and hess[0, 1].hi == 0.0
+    assert hess.lo.shape == (1, 2, 2)
+    assert hess.lo[0, 0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert hess.hi[0, 0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert hess.lo[0, 0, 1] == 0.0 and hess.hi[0, 0, 1] == 0.0
 
     lin = parse_expr("3*x1 - 2*x2", 2)
     _, _, hess = eval_hess_interval(lin, box)
-    for i in range(2):
-        for j in range(2):
-            assert hess[i, j].lo == 0.0 and hess[i, j].hi == 0.0
+    assert not hess.lo.any() and not hess.hi.any()
+    # an expression that does not depend on x
+    val, grad, hess = eval_hess_interval(parse_expr("1.5", 2), box)
+    assert (val.lo.tolist(), grad.lo.shape, hess.lo.shape) == ([1.5], (2, 1), (1, 2, 2))
+    assert not grad.hi.any() and not hess.hi.any()
 
 
 def test_hessian_cubic_range():
     e = parse_expr("x1^3", 1)
-    _, _, hess = eval_hess_interval(e, IntervalVector([Interval(0, 1)]))
+    _, _, hess = eval_hess_interval(e, one_box([0], [1]))
     # second derivative 6x spans [0, 6]
-    assert hess[0, 0].lo <= 0.0 + 1e-12
-    assert hess[0, 0].hi >= 6.0 - 1e-9
+    assert hess.lo[0, 0, 0] <= 0.0 + 1e-12
+    assert hess.hi[0, 0, 0] >= 6.0 - 1e-9
 
 
 def test_abs_guard_only_semantics():

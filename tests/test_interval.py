@@ -1,10 +1,17 @@
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lyapcert import HyperRect
 from lyapcert.errors import DomainError
-from lyapcert.interval import Interval, IntervalVector, hull
+from lyapcert.interval import Interval, IntervalArray
+
+from oracles import RefInterval
 
 
 def test_add_endpoints():
@@ -73,10 +80,10 @@ def test_magnitude():
 
 
 def test_hull():
-    assert hull(Interval(0, 1), Interval(2, 3)) == Interval(0, 3)
-    assert hull(Interval(0, 2), Interval(1, 3)) == Interval(0, 3)
+    assert Interval(0, 1).hull(Interval(2, 3)) == Interval(0, 3)
+    assert Interval(0, 2).hull(Interval(1, 3)) == Interval(0, 3)
     a = Interval(-1, 5)
-    assert hull(a, a) == a
+    assert a.hull(a) == a
 
 
 def test_invalid_construction():
@@ -141,8 +148,141 @@ def test_degenerate_matches_point_arithmetic():
 
 
 def test_interval_vector_helpers():
-    v = IntervalVector.from_bounds([0, -1], [1, 1])
-    assert len(v) == 2
-    assert v.contains_point([0.5, 0.0])
-    assert not v.contains_point([1.5, 0.0])
-    assert v.encloses(IntervalVector.from_bounds([0.2, -0.5], [0.8, 0.5]))
+    # one box is the batch of one: an IntervalArray of shape (n, 1)
+    box = HyperRect.from_bounds([0, -1], [1, 1]).to_interval_vector()
+    assert isinstance(box, IntervalArray) and box.lo.shape == box.hi.shape == (2, 1)
+    assert box.lo[:, 0].tolist() == [0.0, -1.0] and box.hi[:, 0].tolist() == [1.0, 1.0]
+    x = Interval(0, 1)
+    assert x.contains(0.5) and not x.contains(1.5)
+    assert x.encloses(Interval(0.2, 0.8)) and not x.encloses(Interval(-0.5, 0.5))
+    assert x.intersects(Interval(1, 2)) and not x.intersects(Interval(1.5, 2))
+    assert (x.width, x.mid, Interval(-3, 2).magnitude()) == (1.0, 0.5, 3.0)
+
+
+def bits(x):
+    return struct.pack("<d", float(x))
+
+
+def same_ends(got, ref):
+    return (bits(got.lo), bits(got.hi)) == (bits(ref.lo), bits(ref.hi))
+
+
+def test_interval_is_the_0d_interval_array():
+    a, b = Interval(-1, 2), Interval(0.5, 3)
+    assert isinstance(a, IntervalArray) and np.ndim(a.lo) == np.ndim(a.hi) == 0
+    results = [a + b, a - 1.0, 2.0 * a, 1.0 / b, -a, abs(a), b.sqrt(), a.pow_int(3)]
+    results += [a + IntervalArray.point(1.0), IntervalArray.point(1.0) * a, a.constant(2.0)]
+    assert all(type(r) is Interval for r in results)
+    # an IntervalArray operand gives an IntervalArray of its shape, with
+    # each entry the result for that entry alone
+    arr = IntervalArray(np.array([-1.0, -0.0, 0.5]), np.array([-0.0, 2.0, 3.0]))
+    c = Interval(0.25, 4.0)
+    ops = [lambda x, y: x * y, lambda x, y: x - y, lambda x, y: x + y, lambda x, y: x / y]
+    for op in ops:
+        for left, right in ((arr, c), (c, arr)):
+            if right is arr and op is ops[-1]:
+                continue  # arr holds divisors containing 0
+            got = op(left, right)
+            assert type(got) is IntervalArray and got.lo.shape == (3,)
+            for k in range(3):
+                entry = Interval(arr.lo[k], arr.hi[k])
+                ref = op(entry, c) if left is arr else op(c, entry)
+                assert (got.lo[k], got.hi[k]) == (ref.lo, ref.hi)
+
+
+def test_interval_overflow_is_silent():
+    # numpy warns on overflow where Python floats do not; Interval does not
+    big = Interval(1e308, sys.float_info.max)
+    assert (big * 10.0).hi == math.inf and (big + big).hi == math.inf
+    with pytest.raises(ValueError):
+        big * 10.0 - big * 10.0  # inf - inf: a NaN endpoint
+
+
+# the reference's edge cases: signed zeros, subnormals, values near the
+# largest float and infinities; hypothesis adds arbitrary floats
+EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    -2.2250738585072014e-308,
+    sys.float_info.min,
+    1e-160,
+    1.0,
+    -0.1,
+    1e154,
+    1e200,
+    -1e300,
+    sys.float_info.max,
+    -sys.float_info.max,
+    0.5 * sys.float_info.max,
+    math.inf,
+    -math.inf,
+]
+edge_floats = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False))
+edge_intervals = st.tuples(edge_floats, edge_floats).map(sorted)
+
+OPS = {
+    "add": lambda a, b, c: a + b,
+    "sub": lambda a, b, c: a - b,
+    "mul": lambda a, b, c: a * b,
+    "div": lambda a, b, c: a / b,
+    "add_c": lambda a, b, c: a + c,
+    "radd_c": lambda a, b, c: c + a,
+    "sub_c": lambda a, b, c: a - c,
+    "rsub_c": lambda a, b, c: c - a,
+    "mul_c": lambda a, b, c: a * c,
+    "rmul_c": lambda a, b, c: c * a,
+    "div_c": lambda a, b, c: a / c,
+    "rdiv_c": lambda a, b, c: c / a,
+    "neg": lambda a, b, c: -a,
+    "abs": lambda a, b, c: abs(a),
+    "sqrt": lambda a, b, c: a.sqrt(),
+    **{f"pow{k}": (lambda a, b, c, k=k: a.pow_int(k)) for k in range(6)},
+}
+
+
+def _outcome(cls, name, a, b, c):
+    try:
+        return OPS[name](cls(*a), cls(*b), c)
+    except (DomainError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _matches_reference(name, a, b, c):
+    """Interval gives the reference's endpoints bit for bit (signs of zero
+    included), or raises the same kind of error."""
+    ref = _outcome(RefInterval, name, a, b, c)
+    got = _outcome(Interval, name, a, b, c)
+    if isinstance(ref, type):
+        return got is ref
+    return type(got) is Interval and same_ends(got, ref)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(OPS)), edge_intervals, edge_intervals, edge_floats)
+def test_interval_matches_reference_formulas(name, a, b, c):
+    # this checks that the formulas are the reference's, not that they are sound
+    assert _matches_reference(name, a, b, c)
+
+
+# every interval with endpoints from a grid of signed zeros, subnormals,
+# extremes and infinities: the first-of-equals choices of the formulas
+# (which of two zeros of opposite sign an endpoint gets) show only on
+# such ties, which random floats almost never meet
+GRID = [-math.inf, -sys.float_info.max, -1.5, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1e200, math.inf]
+GRID_INTERVALS = [(a, b) for a in GRID for b in GRID if a <= b]
+
+
+def test_interval_matches_reference_on_grid():
+    mismatches = []
+    for name in sorted(OPS):
+        binary = name in ("add", "sub", "mul", "div")
+        real = name.endswith("_c")
+        for a in GRID_INTERVALS:
+            for other in GRID_INTERVALS if binary else GRID if real else [None]:
+                b, c = (other, 0.0) if binary else ((0.0, 0.0), other if real else 0.0)
+                if not _matches_reference(name, a, b, c):
+                    mismatches.append((name, a, other))
+    assert not mismatches, mismatches[:5]

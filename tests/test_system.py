@@ -188,3 +188,34 @@ def lc_hyperrect(center, delta):
     from lyapcert import HyperRect
 
     return HyperRect(center, delta)
+
+
+def test_enclose_failing_boxes_fail_alone():
+    # one box whose float power overflows, one outside the domain of sqrt,
+    # and two that evaluate: one of them overflows to inf in a product,
+    # which numpy would warn about outside the drivers' error state
+    import warnings
+
+    from lyapcert.errors import DomainError
+    from lyapcert.geometry import interval_batch
+    from lyapcert.system import _enclose
+
+    exprs = [parse_expr("sqrt(x1) + x1^5", 1), parse_expr("x1*x1*x1*x1*x1*x1*x1", 1)]
+    boxes = [
+        HyperRect([1e70], [1e69, -1e69]),
+        HyperRect([-1.5], [0.5, -0.5]),
+        HyperRect([0.75], [0.25, -0.25]),
+        HyperRect([1.5e50], [0.5e50, -0.5e50]),
+    ]
+    ivals = interval_batch(boxes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng, errors = _enclose(exprs, ivals)
+        alone = [_enclose(exprs, ivals[:, j : j + 1]) for j in (2, 3)]
+    assert sorted(errors) == [0, 1]
+    assert isinstance(errors[0], OverflowError) and isinstance(errors[1], DomainError)
+    for j, (one, one_errors) in zip((2, 3), alone):
+        assert one_errors == {}
+        assert rng.lo[:, j].tolist() == one.lo[:, 0].tolist()
+        assert rng.hi[:, j].tolist() == one.hi[:, 0].tolist()
+    assert rng.hi[1, 3] == np.inf and np.isfinite(rng.hi[0, 3])
