@@ -44,7 +44,6 @@ from .geometry import (
     HyperRect,
     SampleLedger,
     SampleRecord,
-    delta_from_vertices,
     max_abs_delta,
     refine2,
     tau_of,

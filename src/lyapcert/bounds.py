@@ -6,16 +6,14 @@ computes
 * the gradient coefficient  a = ||grad F(x_s)||_1  at the sample point,
 * the Taylor remainder bound  b = 1/2 tau' |H| tau  with H an interval
   enclosure of the Hessian of F over the whole box (the box is convex, so
-  it contains every intermediate segment point), and
-* an alternative single-coefficient bound that folds the remainder into
-  an interval-valued gradient, sometimes less conservative.
+  it contains every intermediate segment point).
 
 Together with the branch jump eps these assemble the per-sample slack
 ``a * max|delta| + b + eps``; certifying F(x_s) < -slack extends F < 0
 over the whole box.
 
 The 1-norm on gradients is the dual of the infinity norm used for box
-distances; the pairing is what makes the Hoelder step sound.
+distances; that pairing is what makes the Hoelder step sound.
 """
 
 from __future__ import annotations
@@ -41,29 +39,16 @@ from .system import (
     quad_form,
 )
 
-SPLIT = "split"
-COMBINED = "combined"
-BEST = "best"
-
-# norm pairings for the gradient term: the box distance ||x - x_s|| and the
-# gradient norm must be duals for the Hoelder step; both choices are sound
-PAIR_LINF = "linf-l1"  # ||x-x_s||_inf <= max|delta|, gradients in 1-norm
-PAIR_L2 = "l2"  # ||x-x_s||_2 <= ||tau||_2, gradients in 2-norm
-
-
 @dataclass(frozen=True)
 class BoundCoefficients:
     """|F(x) - F(x_s)| <= a * ||x - x_s||_inf + b over the box."""
 
     a: float
     b: float
-    method: str
 
     def __post_init__(self):
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("bound coefficients must be non-negative")
-        if self.method == COMBINED and self.b != 0.0:
-            raise ValueError("combined bounds fold the remainder into a")
 
 
 def certificate_slack(coeffs: Sequence[BoundCoefficients], eps: float, xi: float) -> float:
@@ -75,16 +60,13 @@ def certificate_slack(coeffs: Sequence[BoundCoefficients], eps: float, xi: float
     return a * xi + b + eps
 
 
-def box_radius(box: HyperRect, pairing: str = PAIR_LINF) -> float:
-    """Largest ||x - x_s|| over the box in the pairing's distance norm."""
-    if pairing == PAIR_L2:
-        return float(np.linalg.norm(box.tau))
+def box_radius(box: HyperRect) -> float:
+    """Largest ||x - x_s||_inf over the box."""
     return box.max_abs_delta
 
 
-def gradient_coefficient(grad: np.ndarray, pairing: str = PAIR_LINF) -> float:
-    if pairing == PAIR_L2:
-        return float(np.linalg.norm(grad))
+def gradient_coefficient(grad: np.ndarray) -> float:
+    """||grad||_1, the dual norm of the box distance."""
     return float(np.sum(np.abs(grad)))
 
 
@@ -97,30 +79,6 @@ def remainder_bound(hess, tau: np.ndarray) -> float:
     """
     H = np.ascontiguousarray(hess, dtype=float)
     return float(0.5 * tau @ H @ tau)
-
-
-def _combined_magnitudes(grads, hess, lo_off, hi_off):
-    """Per box k and axis j, the magnitude of grads[k, j] + 1/2 sum_i
-    offs_i H_ij with offs_i = [lo_off[k, i], hi_off[k, i]], summed over i
-    in order for all boxes and axes at once.
-
-    grads, lo_off and hi_off have shape (N, n); hess is an IntervalArray
-    of shape (N, n, n).  Returns the magnitudes as an (N, n) array, or
-    raises ValueError for a NaN one (inf - inf after an overflow).
-    """
-    rows = IntervalArray(hess.lo.transpose(1, 2, 0), hess.hi.transpose(1, 2, 0))  # (i, j, box)
-    v = IntervalArray.point(grads.T)
-    for i in range(grads.shape[1]):
-        v = v + IntervalArray(lo_off[:, i], hi_off[:, i]) * rows[i] * 0.5
-    mags = v.magnitude().T
-    require_no_nan(mags)
-    return mags
-
-
-def _dual_norm(mags, pairing: str) -> float:
-    if pairing == PAIR_L2:
-        return float(np.linalg.norm(mags))
-    return float(sum(mags))
 
 
 # -- branch-restricted scalar maps ------------------------------------------
@@ -244,7 +202,6 @@ class DerivativeAlongFlowMap(_BranchMap):
 class BranchBounds:
     value: float  # F at the sample point along this branch
     split: BoundCoefficients
-    combined: Optional[BoundCoefficients]
 
 
 def _values_and_grads(fmap, centers: np.ndarray):
@@ -259,9 +216,7 @@ def _values_and_grads(fmap, centers: np.ndarray):
     return np.broadcast_to(np.asarray(out.value, dtype=float), (N,)), grads
 
 
-def assess_boxes(
-    fmap, boxes: Sequence[HyperRect], method: str = SPLIT, pairing: str = PAIR_LINF
-) -> list:
+def assess_boxes(fmap, boxes: Sequence[HyperRect]) -> list:
     """assess_branch for many boxes in one batched evaluation of the map.
 
     The values and gradients at the sample points are computed over float
@@ -276,29 +231,20 @@ def assess_boxes(
         values, grads = _values_and_grads(fmap, centers)
         hess = fmap.interval_hessian(interval_batch(boxes))
         mags = hess.magnitude()
-        combined = None
-        if method in (COMBINED, BEST):
-            lo_off = np.array([box.lo_offsets for box in boxes])
-            hi_off = np.array([box.hi_offsets for box in boxes])
-            combined = _combined_magnitudes(grads, hess, lo_off, hi_off)
     require_no_nan(hess.lo, hess.hi)
-    out = []
-    for k, box in enumerate(boxes):
-        split = BoundCoefficients(
-            gradient_coefficient(grads[k], pairing), remainder_bound(mags[k], box.tau), SPLIT
+    return [
+        BranchBounds(
+            float(values[k]),
+            BoundCoefficients(gradient_coefficient(grads[k]), remainder_bound(mags[k], box.tau)),
         )
-        comb = None
-        if combined is not None:
-            comb = BoundCoefficients(_dual_norm(combined[k].tolist(), pairing), 0.0, COMBINED)
-        out.append(BranchBounds(float(values[k]), split, comb))
-    return out
+        for k, box in enumerate(boxes)
+    ]
 
 
-def assess_branch(
-    fmap, box: HyperRect, method: str = SPLIT, pairing: str = PAIR_LINF
-) -> BranchBounds:
+# `method` and `pairing` are accepted and ignored: bench/micro.py passes them
+def assess_branch(fmap, box: HyperRect, method=None, pairing=None) -> BranchBounds:
     """Sample value and variation coefficients of one branch over one box."""
-    return assess_boxes(fmap, [box], method, pairing)[0]
+    return assess_boxes(fmap, [box])[0]
 
 
 def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
@@ -393,14 +339,13 @@ class WContext:
         M: int,
         domain=None,
         cap: int = 64,
-        pairing: str = PAIR_LINF,
+        pairing=None,  # accepted and ignored: bench/micro.py passes it
     ):
         self.dsys = dsys
         self.V = V
         self.M = M
         self.domain = domain
         self.cap = cap
-        self.pairing = pairing
 
     def value(self, x) -> float:
         return w_point_value(self.dsys, self.V, self.M, x)
@@ -412,9 +357,7 @@ class WContext:
     def map_for(self, branch):
         return SumOfIteratesMap(self.dsys, self.V, self.M, branch)
 
-    def lower_bound_over_box(
-        self, box: HyperRect, method: str = SPLIT, subdivide_to: Optional[float] = None
-    ):
+    def lower_bound_over_box(self, box: HyperRect, subdivide_to: Optional[float] = None):
         """Rigorous lower bound on min W over the box; None if not computable.
 
         Combines two sound bounds and keeps the larger: the per-branch
@@ -425,14 +368,14 @@ class WContext:
         bound is then the minimum over the pieces, None if any piece has none
         or if the box would take more than _MAX_PIECES pieces.
         """
-        return self.lower_bounds([box], method, subdivide_to)[0]
+        return self.lower_bounds([box], subdivide_to)[0]
 
     def lower_bounds(
-        self, boxes: Sequence[HyperRect], method: str = SPLIT, subdivide_to: Optional[float] = None
+        self, boxes: Sequence[HyperRect], subdivide_to: Optional[float] = None
     ) -> list:
         """lower_bound_over_box for every box, batched over all their pieces."""
         pieces = [self._pieces(box, subdivide_to) for box in boxes]
-        bounds = self._piece_bounds([p for ps in pieces for p in ps], method)
+        bounds = self._piece_bounds([p for ps in pieces for p in ps])
         out = []
         pos = 0
         for ps in pieces:
@@ -452,9 +395,9 @@ class WContext:
             pieces = [child for piece in pieces for child in refine2(piece)]
         return pieces
 
-    def _by_branch(self, boxes: Sequence[HyperRect], method: Optional[str] = None):
+    def _by_branch(self, boxes: Sequence[HyperRect], assess: bool = False):
         """The branches of each box, and for each (box index, branch) its
-        (lo, hi) enclosure and, given a method, its assessment, one batch
+        (lo, hi) enclosure and, if `assess`, its assessment, one batch
         per branch; an error marks a failed evaluation, a missing key a
         box whose branches could not be enumerated."""
         enumerated = enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
@@ -472,10 +415,10 @@ class WContext:
                 _W_ERRORS,
             )
             assessed = [None] * len(keys)
-            if method is not None:
+            if assess:
                 assessed = batch_or_each(
-                    lambda bs: assess_boxes(fmap, bs, method, self.pairing),
-                    lambda b: assess_branch(fmap, b, method, self.pairing),
+                    lambda bs: assess_boxes(fmap, bs),
+                    lambda b: assess_branch(fmap, b),
                     group,
                     _W_ERRORS,
                 )
@@ -483,8 +426,8 @@ class WContext:
                 found[k, seq] = (rng, bb)
         return branches_of, found
 
-    def _piece_bounds(self, boxes: list, method: str) -> list:
-        branches_of, found = self._by_branch(boxes, method)
+    def _piece_bounds(self, boxes: list) -> list:
+        branches_of, found = self._by_branch(boxes, assess=True)
         out = []
         for k, box in enumerate(boxes):
             if k not in branches_of:
@@ -493,12 +436,9 @@ class WContext:
             ranges, assessments = zip(*(found[k, seq] for seq in branches_of[k]))
             best = None
             if not any(isinstance(bb, _W_ERRORS) for bb in assessments):
-                xi = box_radius(box, self.pairing)
+                xi = box_radius(box)
                 for bb in assessments:
-                    coeffs = bb.split if bb.combined is None else min(
-                        (bb.split, bb.combined), key=lambda c: c.a * xi + c.b
-                    )
-                    lb = bb.value - coeffs.a * xi - coeffs.b
+                    lb = bb.value - bb.split.a * xi - bb.split.b
                     best = lb if best is None else min(best, lb)
             lo = _hull_lo(ranges)
             if lo is not None and math.isfinite(lo):

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig
+from .config import BOUND_METHODS, RunConfig
 from .errors import ConfigError, LyapcertError
 from .pipeline import (
     EXIT_ERROR,
@@ -33,7 +33,10 @@ def _add_overrides(p: argparse.ArgumentParser):
     p.add_argument("--delta-min", type=float, dest="delta_min")
     p.add_argument("--M", type=int, dest="M", help="starting decrease horizon")
     p.add_argument(
-        "--bound-method", choices=["split", "combined", "best"], dest="bound_method"
+        "--bound-method",
+        choices=BOUND_METHODS,
+        dest="bound_method",
+        help="accepted for old scripts; has no effect",
     )
 
 

@@ -24,7 +24,8 @@ A configuration is a single JSON document::
         "local_delta_min": 0.01            // optional, else scaled delta_min
       },
       "run": {
-        "bound_method": "split" | "combined" | "best",
+        "bound_method": "split",           // accepted, has no effect
+        "norm_pairing": "linf-l1",         // accepted, has no effect
         "workers": 1,                      // accepted, has no effect
         "quality_gate": 0.5,
         "seed_split": [3, 3],              // optional initial grid
@@ -50,6 +51,7 @@ import numpy as np
 from .errors import ConfigError, ParseError
 from .expr import VectorField, contains_abs, parse_expr
 from .geometry import HyperRect
+from .localyap import local_search_config
 from .system import (
     CONTINUOUS,
     DISCRETE,
@@ -63,6 +65,11 @@ from .system import (
 from .verifier import VerifyConfig
 
 _REL_RE = re.compile(r"(<=|>=|<|>)")
+
+# the accepted values of run.bound_method and run.norm_pairing: checked, so
+# a typo is an error, though every value gives the same bound
+BOUND_METHODS = ("split", "combined", "best")
+NORM_PAIRINGS = ("linf-l1", "l2")
 
 
 def parse_guard(text: str, dim: int) -> Guard:
@@ -115,8 +122,8 @@ class RunConfig:
     P_local: Optional[np.ndarray]
     rho_local: float
     local_delta_min: float
-    bound_method: str
-    norm_pairing: str
+    bound_method: str  # has no effect; kept because bench/micro.py reads it
+    norm_pairing: str  # has no effect; kept because bench/micro.py reads it
     workers: int
     quality_gate: float
     seed_split: Optional[list]
@@ -235,8 +242,16 @@ class RunConfig:
             raise ConfigError(f"bad candidate: {exc}") from exc
         if self.workers < 1:  # accepted for old configs, selects nothing
             raise ConfigError("workers must be >= 1")
+        if self.bound_method not in BOUND_METHODS:
+            raise ConfigError(f"unknown bound method {self.bound_method!r}")
+        if self.norm_pairing not in NORM_PAIRINGS:
+            raise ConfigError(f"unknown norm pairing {self.norm_pairing!r}")
+        if not (self.boundary_spacing > 0.0):
+            raise ConfigError("boundary_spacing must be positive")
         try:
             self.verify_config()
+            if self.N1 is not None:
+                local_search_config(self.N1, self.local_delta_min, self.rho_local)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.build_system()  # parses all expressions
@@ -249,8 +264,6 @@ class RunConfig:
             M=self.M,
             M_max=self.M_max,
             rho_c=self.rho_c,
-            bound_method=self.bound_method,
-            norm_pairing=self.norm_pairing,
             quality_gate=self.quality_gate,
             seed_split=self.seed_split,
             split_longest_only=self.split_longest_only,

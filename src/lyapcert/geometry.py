@@ -110,21 +110,6 @@ def interval_batch(boxes: Sequence[HyperRect]) -> IntervalArray:
     return IntervalArray(np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T))
 
 
-def delta_from_vertices(center, vertices: Sequence) -> np.ndarray:
-    """Per-axis max/min vertex offsets from the center, interleaved."""
-    center = np.asarray(center, dtype=float)
-    verts = np.asarray(list(vertices), dtype=float)
-    if verts.ndim == 1:
-        verts = verts.reshape(1, -1)
-    if verts.shape[0] < 1 or verts.shape[1] != center.shape[0]:
-        raise ValueError("vertices must be non-empty and match the center dimension")
-    diff = verts - center
-    delta = np.empty(2 * center.shape[0])
-    delta[0::2] = diff.max(axis=0)
-    delta[1::2] = diff.min(axis=0)
-    return delta
-
-
 def tau_of(delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     return np.maximum(delta[0::2], -delta[1::2])

@@ -135,6 +135,13 @@ def max_level_in_box(P: np.ndarray, N1: HyperRect) -> float:
     return float(np.min(r * r / Pinv_diag))
 
 
+def local_search_config(N1: HyperRect, delta_min: float, rho_local: float):
+    """The VerifyConfig of verify_local's one-step decrease search on N1."""
+    from .verifier import VerifyConfig
+
+    return VerifyConfig(S=N1, delta_min=delta_min, M=1, M_max=1, rho_c=rho_local)
+
+
 def verify_local(
     dsys: PiecewiseSystem,
     P_L: np.ndarray,
@@ -149,12 +156,12 @@ def verify_local(
     (enclosures of the one-step images keep V_L below the level), so the
     level set is invariant: certified points contract, hole points stay.
     """
-    from .verifier import DecreaseContext, VerifyConfig, build_certified_region
+    from .verifier import DecreaseContext, build_certified_region
 
     level = max_level_in_box(P_L, N1)
     mats = linearize(dsys)
     V_local = CandidateV(np.asarray(P_L, dtype=float), rho_local)
-    cfg = VerifyConfig(S=N1, delta_min=delta_min, M=1, M_max=1, rho_c=rho_local)
+    cfg = local_search_config(N1, delta_min, rho_local)
     ctx = DecreaseContext(dsys, V_local, 1, cfg.domain, cfg.branch_cap)
     cert = build_certified_region(cfg, ctx)
 

@@ -215,7 +215,7 @@ def run_verify_dt(cfg: RunConfig) -> RunReport:
         t = time.perf_counter()
         local = _local_certificate(cfg, dsys, notes)
         timings["local"] = time.perf_counter() - t
-        wctx = WContext(dsys, V, cert.M_final, None, vcfg.branch_cap, cfg.norm_pairing)
+        wctx = WContext(dsys, V, cert.M_final, None, vcfg.branch_cap)
     else:
         notes.append("horizon search halted; select another candidate function")
     return _finish(cfg, cert, wctx, local, timings, notes, t0)
@@ -239,7 +239,7 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
     t = time.perf_counter()
     validate_coverage(ct_sys, cfg.S)
     timings["coverage"] = time.perf_counter() - t
-    M = int(prior["M_final"])
+    M = _prior_horizon(prior)
     W = WDescription(cfg.P, cfg.rho_c, M)
     vcfg = cfg.verify_config()
 
@@ -254,7 +254,7 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
         local.note = (local.note or "") + " (validated via the discretized map)"
         notes.append("local set verified for the Euler-discretized dynamics")
 
-    wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap, cfg.norm_pairing)
+    wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap)
     return _finish(cfg, cert, wctx, local, timings, notes, t0)
 
 
@@ -274,15 +274,23 @@ def _load_local(prior: dict) -> Optional[LocalCertificate]:
     )
 
 
+def _prior_horizon(prior: dict) -> int:
+    if "M_final" not in prior:
+        raise ConfigError("prior report has no M_final")
+    return int(prior["M_final"])
+
+
 def recompute_level(cfg: RunConfig, prior: dict, spacing: Optional[float] = None) -> LevelEstimate:
     """Re-run the level estimation over a stored ledger."""
     if prior.get("config_digest") != cfg.digest():
         raise ConfigError("report was produced by a different configuration")
+    if spacing is not None and not (spacing > 0.0):
+        raise ConfigError("spacing must be positive")
     dsys = cfg.discrete_system()
-    M = int(prior["M_final"])
+    M = _prior_horizon(prior)
     ledger = _ledger_from_report(prior)
     vcfg = cfg.verify_config()
-    wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap, cfg.norm_pairing)
+    wctx = WContext(dsys, cfg.candidate(), M, None, vcfg.branch_cap)
     local = _load_local(prior)
     return estimate_level(
         wctx,

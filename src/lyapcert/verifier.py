@@ -16,11 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    BEST,
-    COMBINED,
-    PAIR_L2,
-    PAIR_LINF,
-    SPLIT,
     WContext,
     assess_boxes,
     assess_branch,
@@ -65,9 +60,6 @@ class VerifyConfig:
     M: int
     M_max: int
     rho_c: float
-    mode: str = "discrete"
-    bound_method: str = SPLIT
-    norm_pairing: str = PAIR_LINF
     quality_gate: float = 0.5
     seed_split: Optional[Sequence[int]] = None
     branch_cap: int = 64
@@ -81,10 +73,10 @@ class VerifyConfig:
             raise ValueError("need 1 <= M <= M_max")
         if not (0.0 < self.rho_c < 1.0):
             raise ValueError("rho_c must lie in (0, 1)")
-        if self.bound_method not in (SPLIT, COMBINED, BEST):
-            raise ValueError(f"unknown bound method {self.bound_method!r}")
-        if self.norm_pairing not in (PAIR_LINF, PAIR_L2):
-            raise ValueError(f"unknown norm pairing {self.norm_pairing!r}")
+        if self.seed_split is not None:
+            self.seed_split = [int(k) for k in self.seed_split]
+            if len(self.seed_split) != self.S.n or any(k < 1 for k in self.seed_split):
+                raise ValueError("seed_split needs one positive count per axis")
         if self.domain is None:
             # widest validity domain any sample needs: S dilated by the
             # offsets of the largest sampling unit, which is S itself
@@ -236,9 +228,7 @@ class BoxOutcome:
     refinable: bool = True
 
 
-def verify_boxes(
-    ctx, boxes: Sequence[HyperRect], method: str = SPLIT, pairing: str = PAIR_LINF
-) -> list:
+def verify_boxes(ctx, boxes: Sequence[HyperRect]) -> list:
     """Certify each box or report why it could not be certified.
 
     Branch patterns are enumerated for all boxes in one interval walk;
@@ -270,8 +260,8 @@ def verify_boxes(
     for b, keys in group_by_branch(branches_of).items():
         fmap = ctx.map_for(b)
         results = batch_or_each(
-            lambda bs: assess_boxes(fmap, bs, method, pairing),
-            lambda box: assess_branch(fmap, box, method, pairing),
+            lambda bs: assess_boxes(fmap, bs),
+            lambda box: assess_branch(fmap, box),
             [boxes[k] for k in keys],
             _EVAL_ERRORS,
         )
@@ -281,27 +271,22 @@ def verify_boxes(
         if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
             outcomes[k] = BoxOutcome(False, None, None, "domain-error")
         else:
-            outcomes[k] = _decide(ctx, boxes[k], branches, assessments, method, pairing)
+            outcomes[k] = _decide(ctx, boxes[k], branches, assessments)
     return outcomes
 
 
-def _decide(ctx, box, branches, assessments, method, pairing) -> BoxOutcome:
+def _decide(ctx, box, branches, assessments) -> BoxOutcome:
     values = [a.value for a in assessments]
     eps = _point_jump(ctx, box, branches, values)
-    xi = box_radius(box, pairing)
-    gamma = certificate_slack([a.split for a in assessments], eps, xi)
-    if method in (COMBINED, BEST):
-        gamma_c = certificate_slack([a.combined for a in assessments], eps, xi)
-        gamma = gamma_c if method == COMBINED else min(gamma, gamma_c)
+    gamma = certificate_slack([a.split for a in assessments], eps, box_radius(box))
     F = float(max(values))
     return BoxOutcome(F < -gamma, F, gamma, None)
 
 
-def verify_box(
-    ctx, box: HyperRect, method: str = SPLIT, pairing: str = PAIR_LINF
-) -> BoxOutcome:
+# `method` and `pairing` are accepted and ignored: bench/micro.py passes them
+def verify_box(ctx, box: HyperRect, method=None, pairing=None) -> BoxOutcome:
     """Certify one box or report why it could not be certified."""
-    return verify_boxes(ctx, [box], method, pairing)[0]
+    return verify_boxes(ctx, [box])[0]
 
 
 # -- wave evaluation -----------------------------------------------------------
@@ -310,13 +295,11 @@ def verify_box(
 class _BoxEvaluator:
     """Maps the boxes of one wave to their outcomes in one batched call."""
 
-    def __init__(self, ctx, method: str, pairing: str):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.method = method
-        self.pairing = pairing
 
     def map(self, boxes):
-        return verify_boxes(self.ctx, boxes, self.method, self.pairing)
+        return verify_boxes(self.ctx, boxes)
 
 
 # -- multi-resolution construction --------------------------------------------
@@ -325,9 +308,7 @@ class _BoxEvaluator:
 def _seed_boxes(cfg: VerifyConfig):
     if cfg.seed_split is None:
         return [cfg.S]
-    splits = [int(k) for k in cfg.seed_split]
-    if len(splits) != cfg.S.n or any(k < 1 for k in splits):
-        raise ValueError("seed_split needs one positive count per axis")
+    splits = cfg.seed_split
     lo, hi = cfg.S.lower, cfg.S.upper
     edges = [np.linspace(lo[i], hi[i], splits[i] + 1) for i in range(cfg.S.n)]
     boxes = []
@@ -343,7 +324,7 @@ def build_certified_region(cfg: VerifyConfig, ctx, M_label: Optional[int] = None
     ledger = SampleLedger()
     explored = 0
     queue = _seed_boxes(cfg)
-    evaluator = _BoxEvaluator(ctx, cfg.bound_method, cfg.norm_pairing)
+    evaluator = _BoxEvaluator(ctx)
     while queue:
         outcomes = evaluator.map(queue)
         next_queue = []

@@ -339,7 +339,7 @@ def test_criterion8_bound_soundness():
         h = rng.uniform(0.01, 0.2, dim)
         box = HyperRect(c, np.column_stack([h, -h]).ravel())
         fmap = DecreaseMap(sys_, V, M, (0,) * M)
-        bb = assess_branch(fmap, box, "split")
+        bb = assess_branch(fmap, box)
         val, grad = fmap.value_and_grad(box.center)
         pts = sample_box(box, 10000, rng)
         F = decrease_batch(sys_, V.P, V.rho_c, M, pts)

@@ -27,11 +27,6 @@ from hypothesis import strategies as st
 from lyapcert import CandidateV, HyperRect, RunConfig, parse_expr
 from lyapcert.ad import Dual2, dual2_seeds, tril
 from lyapcert.bounds import (
-    BEST,
-    COMBINED,
-    PAIR_L2,
-    PAIR_LINF,
-    SPLIT,
     BoundCoefficients,
     BranchBounds,
     DecreaseMap,
@@ -39,6 +34,7 @@ from lyapcert.bounds import (
     SumOfIteratesMap,
     WContext,
     assess_boxes,
+    assess_branch,
     box_radius,
     certificate_slack,
     gradient_coefficient,
@@ -86,8 +82,10 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
 )
 
-METHODS = (SPLIT, COMBINED, BEST)
-PAIRINGS = (PAIR_LINF, PAIR_L2)
+# the retired bound options: the one-box calls still accept them, and must
+# give exactly what they give without them
+METHODS = ("split", "combined", "best")
+PAIRINGS = ("linf-l1", "l2")
 
 
 def bits(x):
@@ -287,19 +285,6 @@ def scalar_range(fmap, box):
     return ref_point(fmap._eval(ref_box(box)))
 
 
-def scalar_combined_coefficient(grad0, hess, box, pairing):
-    """||grad F(x_s) + 1/2 (x - x_s)' H|| bounded entry by entry over RefIntervals."""
-    n = box.n
-    offs = [RefInterval(float(box.lo_offsets[i]), float(box.hi_offsets[i])) for i in range(n)]
-    mags = []
-    for j in range(n):
-        v = RefInterval.point(float(grad0[j]))
-        for i in range(n):
-            v = v + offs[i] * hess[i][j] * 0.5
-        mags.append(v.magnitude())
-    return float(np.linalg.norm(mags)) if pairing == PAIR_L2 else float(sum(mags))
-
-
 def scalar_regions_intersecting(sys_, ivec, literal=False):
     out = []
     for i, region in enumerate(sys_.regions):
@@ -380,21 +365,15 @@ def same_result(got, ref):
     return got == ref
 
 
-def scalar_assess(fmap, box, method, pairing):
+def scalar_assess(fmap, box):
     value, grad = fmap.value_and_grad(box.center)
-    hess = scalar_hessian(fmap, box)
-    mags = [[e.magnitude() for e in row] for row in hess]
-    split = BoundCoefficients(
-        gradient_coefficient(grad, pairing), remainder_bound(mags, box.tau), SPLIT
+    mags = [[e.magnitude() for e in row] for row in scalar_hessian(fmap, box)]
+    return BranchBounds(
+        value, BoundCoefficients(gradient_coefficient(grad), remainder_bound(mags, box.tau))
     )
-    combined = None
-    if method in (COMBINED, BEST):
-        a = scalar_combined_coefficient(grad, hess, box, pairing)
-        combined = BoundCoefficients(a, 0.0, COMBINED)
-    return BranchBounds(value, split, combined)
 
 
-def scalar_verify(ctx, box, method, pairing):
+def scalar_verify(ctx, box):
     try:
         branches = scalar_ctx_branches(ctx, box)
     except BranchOverflowError:
@@ -406,21 +385,17 @@ def scalar_verify(ctx, box, method, pairing):
     except CoverageError:
         return BoxOutcome(False, None, None, "no-region")
     try:
-        assessments = [scalar_assess(ctx.map_for(b), box, method, pairing) for b in branches]
+        assessments = [scalar_assess(ctx.map_for(b), box) for b in branches]
     except DomainError:
         return BoxOutcome(False, None, None, "domain-error")
     values = [a.value for a in assessments]
     eps = _point_jump(ctx, box, branches, values)
-    xi = box_radius(box, pairing)
-    gamma = certificate_slack([a.split for a in assessments], eps, xi)
-    if method in (COMBINED, BEST):
-        gamma_c = certificate_slack([a.combined for a in assessments], eps, xi)
-        gamma = gamma_c if method == COMBINED else min(gamma, gamma_c)
+    gamma = certificate_slack([a.split for a in assessments], eps, box_radius(box))
     F = float(max(values))
     return BoxOutcome(F < -gamma, F, gamma, None)
 
 
-def scalar_lower_bound(wctx, box, method=SPLIT, subdivide_to=None):
+def scalar_lower_bound(wctx, box, subdivide_to=None):
     if subdivide_to is not None and box.max_abs_delta > subdivide_to * (1 + 1e-9):
         try:
             children = refine2(box)
@@ -429,7 +404,7 @@ def scalar_lower_bound(wctx, box, method=SPLIT, subdivide_to=None):
         if children:
             best = None
             for child in children:
-                lb = scalar_lower_bound(wctx, child, method, subdivide_to)
+                lb = scalar_lower_bound(wctx, child, subdivide_to)
                 if lb is None:
                     return None
                 best = lb if best is None else min(best, lb)
@@ -439,14 +414,11 @@ def scalar_lower_bound(wctx, box, method=SPLIT, subdivide_to=None):
         branches = scalar_ctx_branches(wctx, box)
     except (LyapcertError, DomainExit):
         return None
-    xi = box_radius(box, wctx.pairing)
+    xi = box_radius(box)
     try:
         for seq in branches:
-            bb = scalar_assess(wctx.map_for(seq), box, method, wctx.pairing)
-            coeffs = bb.split if bb.combined is None else min(
-                (bb.split, bb.combined), key=lambda c: c.a * xi + c.b
-            )
-            lb = bb.value - coeffs.a * xi - coeffs.b
+            bb = scalar_assess(wctx.map_for(seq), box)
+            lb = bb.value - bb.split.a * xi - bb.split.b
             best = lb if best is None else min(best, lb)
     except (LyapcertError, DomainExit):
         best = None
@@ -878,21 +850,16 @@ def _boxes(rng, count):
     return out
 
 
-def _assert_assessment_matches(fmap, boxes, method, pairing):
-    batched = assess_boxes(fmap, boxes, method, pairing)
+def _assert_assessment_matches(fmap, boxes, method=None, pairing=None):
+    batched = assess_boxes(fmap, boxes)
     hess = fmap.interval_hessian(interval_batch(boxes))
     ranges = interval_values(fmap, boxes)
     for k, box in enumerate(boxes):
-        ref = scalar_assess(fmap, box, method, pairing)
-        got = batched[k]
-        assert same(got.value, ref.value)
-        assert same(got.split.a, ref.split.a) and same(got.split.b, ref.split.b)
-        assert (got.combined is None) == (ref.combined is None)
-        if ref.combined is not None:
-            assert same(got.combined.a, ref.combined.a)
-            # the same box alone
-            one_box = assess_boxes(fmap, [box], method, pairing)[0]
-            assert same(one_box.combined.a, ref.combined.a)
+        ref = scalar_assess(fmap, box)
+        # the same box alone, through the one-box call with retired options
+        for got in (batched[k], assess_branch(fmap, box, method, pairing)):
+            assert same(got.value, ref.value)
+            assert same(got.split.a, ref.split.a) and same(got.split.b, ref.split.b)
         H = scalar_hessian(fmap, box)
         one = fmap.interval_hessian(box.to_interval_vector())
         n = box.n
@@ -918,9 +885,7 @@ def test_assess_boxes_matches_scalar(switched_sys, method, pairing):
             for x in sample_box(box, 40, rng):
                 v = fmap.value(x)
                 assert lo <= v <= hi, kind
-                dist = np.max(np.abs(x - box.center)) if pairing == PAIR_LINF else np.linalg.norm(
-                    x - box.center
-                )
+                dist = np.max(np.abs(x - box.center))
                 assert abs(v - bb.value) <= bb.split.a * dist + bb.split.b + 1e-12, kind
 
 
@@ -938,19 +903,23 @@ def test_assess_boxes_zero_times_inf_in_map(method, pairing):
     hess = fmap.interval_hessian(interval_batch([far, near]))
     assert (hess.lo[0, 0, 0], hess.hi[0, 0, 0]) == (-math.inf, math.inf)
     try:
-        scalar_assess(fmap, far, method, pairing)
+        scalar_assess(fmap, far)
     except ValueError:  # a NaN gradient makes a NaN point interval
         with pytest.raises(ValueError):
-            assess_boxes(fmap, [far, near], method, pairing)
+            assess_boxes(fmap, [far, near])
+        with pytest.raises(ValueError):
+            assess_branch(fmap, far, method, pairing)
     else:
         _assert_assessment_matches(fmap, [far, near], method, pairing)
     # over [9e69, 1.1e70] both endpoints overflow and inf - inf follows:
     # the scalar path refuses the NaN endpoint, and so does the batch
     both = HyperRect([1e70], [1e69, -1e69])
     with pytest.raises(ValueError):
-        scalar_assess(fmap, both, method, pairing)
+        scalar_assess(fmap, both)
     with pytest.raises(ValueError):
-        assess_boxes(fmap, [near, both], method, pairing)
+        assess_boxes(fmap, [near, both])
+    with pytest.raises(ValueError):
+        assess_branch(fmap, both, method, pairing)
 
 
 @settings(max_examples=25, deadline=None)
@@ -965,14 +934,12 @@ def test_assess_boxes_zero_times_inf_in_map(method, pairing):
         min_size=1,
         max_size=6,
     ),
-    st.sampled_from(METHODS),
-    st.sampled_from(PAIRINGS),
     st.sampled_from(["decrease", "sum_iter", "flow"]),
 )
-def test_assess_boxes_matches_scalar_hypothesis(switched_sys, specs, method, pairing, kind):
+def test_assess_boxes_matches_scalar_hypothesis(switched_sys, specs, kind):
     fmap = dict(_maps(switched_sys))[kind]
     boxes = [HyperRect([c1, c2], [h1, -h1, h2, -h2]) for c1, c2, h1, h2 in specs]
-    _assert_assessment_matches(fmap, boxes, method, pairing)
+    _assert_assessment_matches(fmap, boxes)
 
 
 # -- whole boxes and W bounds ------------------------------------------------------
@@ -983,32 +950,35 @@ def test_assess_boxes_matches_scalar_hypothesis(switched_sys, specs, method, pai
 def test_verify_boxes_matches_scalar(switched_sys, method, pairing):
     ctx = DecreaseContext(switched_sys, CandidateV(np.eye(2), 0.999), 3, None, 64)
     boxes = _boxes(np.random.default_rng(43), 12)
-    batched = verify_boxes(ctx, boxes, method, pairing)
+    batched = verify_boxes(ctx, boxes)
     for box, got in zip(boxes, batched):
-        assert same_outcome(got, scalar_verify(ctx, box, method, pairing))
+        assert same_outcome(got, scalar_verify(ctx, box))
         assert same_outcome(got, verify_box(ctx, box, method, pairing))
 
 
 def test_w_lower_bounds_match_scalar(switched_sys):
     rng = np.random.default_rng(44)
     boxes = _boxes(rng, 4)
-    for pairing in PAIRINGS:
-        wctx = WContext(switched_sys, CandidateV(np.eye(2), 0.999), 3, None, 64, pairing)
-        for method in METHODS:
-            for sub in (None, 0.1):
-                got = wctx.lower_bounds(boxes, method, sub)
-                for box, lb in zip(boxes, got):
-                    assert same_bound(lb, scalar_lower_bound(wctx, box, method, sub))
-                    assert same_bound(lb, wctx.lower_bound_over_box(box, method, sub))
-        ranges = wctx.interval_values_over_boxes(boxes)
-        for box, got in zip(boxes, ranges):
-            ref = None
-            for seq in scalar_ctx_branches(wctx, box):
-                rng = scalar_range(wctx.map_for(seq), box)
-                ref = rng if ref is None else ref.hull(rng)
-            one = wctx.interval_values_over_boxes([box])[0]
-            for r in (ref, one):
-                assert same(got.lo, r.lo) and same(got.hi, r.hi)
+    V = CandidateV(np.eye(2), 0.999)
+    wctx = WContext(switched_sys, V, 3, None, 64)
+    for sub in (None, 0.1):
+        got = wctx.lower_bounds(boxes, sub)
+        for box, lb in zip(boxes, got):
+            assert same_bound(lb, scalar_lower_bound(wctx, box, sub))
+            assert same_bound(lb, wctx.lower_bound_over_box(box, sub))
+        # the retired pairing argument of WContext changes nothing
+        for pairing in PAIRINGS:
+            legacy = WContext(switched_sys, V, 3, None, 64, pairing).lower_bounds(boxes, sub)
+            assert all(same_bound(a, b) for a, b in zip(legacy, got))
+    ranges = wctx.interval_values_over_boxes(boxes)
+    for box, got in zip(boxes, ranges):
+        ref = None
+        for seq in scalar_ctx_branches(wctx, box):
+            rng = scalar_range(wctx.map_for(seq), box)
+            ref = rng if ref is None else ref.hull(rng)
+        one = wctx.interval_values_over_boxes([box])[0]
+        for r in (ref, one):
+            assert same(got.lo, r.lo) and same(got.hi, r.hi)
 
 
 def test_powertrain_batch_with_domain_errors():
@@ -1023,7 +993,7 @@ def test_powertrain_batch_with_domain_errors():
     specs += [(0.19, 0.0125), (0.1975, 0.005), (0.2, 0.0025), (0.22, 0.0125)]
     boxes = [HyperRect([c, 0.02, -0.01], [h, -h, 0.0125, -0.0125, 0.0125, -0.0125]) for c, h in specs]
     batched = verify_boxes(ctx, boxes)
-    reference = [scalar_verify(ctx, box, SPLIT, PAIR_LINF) for box in boxes]
+    reference = [scalar_verify(ctx, box) for box in boxes]
     for got, ref, box in zip(batched, reference, boxes):
         assert same_outcome(got, ref)
         assert same_outcome(got, verify_box(ctx, box))

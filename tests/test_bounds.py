@@ -11,7 +11,6 @@ from lyapcert.bounds import (
     DerivativeAlongFlowMap,
     WContext,
     assess_branch,
-    box_radius,
     certificate_slack,
     gradient_coefficient,
     remainder_bound,
@@ -28,7 +27,6 @@ def test_gradient_coefficient_quadratic(switched_sys):
     # F(x) = x'x - 0 has gradient (2, 2) at (1, 1); dual norm of inf is 1-norm
     assert gradient_coefficient(np.array([2.0, 2.0])) == 4.0
     assert gradient_coefficient(np.array([3.0, -1.0, 0.5])) == 4.5
-    assert gradient_coefficient(np.array([2.0, 2.0]), "l2") == pytest.approx(np.hypot(2, 2))
 
 
 def test_gradient_coefficient_against_fd(switched_sys):
@@ -80,10 +78,10 @@ def test_remainder_bound_covers_cubic_residual():
 
 
 def test_certificate_slack_arithmetic():
-    coeffs = [BoundCoefficients(4.0, 0.5, "split")]
+    coeffs = [BoundCoefficients(4.0, 0.5)]
     assert certificate_slack(coeffs, 0.0, 0.5) == pytest.approx(2.5)
     assert certificate_slack(coeffs, 0.4652, 0.5) == pytest.approx(2.9652)
-    both = coeffs + [BoundCoefficients(1.0, 0.9, "split")]
+    both = coeffs + [BoundCoefficients(1.0, 0.9)]
     assert certificate_slack(both, 0.0, 0.5) == pytest.approx(4.0 * 0.5 + 0.9)
     with pytest.raises(ValueError):
         certificate_slack([], 0.0, 0.5)
@@ -93,10 +91,10 @@ def test_slack_monotone():
     rng = np.random.default_rng(4)
     for _ in range(100):
         a, b, eps, xi = rng.uniform(0, 3, 4)
-        base = certificate_slack([BoundCoefficients(a, b, "split")], eps, xi)
+        base = certificate_slack([BoundCoefficients(a, b)], eps, xi)
         for da, db, de, dxi in np.eye(4) * 0.1:
             bumped = certificate_slack(
-                [BoundCoefficients(a + da, b + db, "split")], eps + de, xi + dxi
+                [BoundCoefficients(a + da, b + db)], eps + de, xi + dxi
             )
             assert bumped >= base - 1e-12
 
@@ -112,40 +110,18 @@ class _LinearMap(_BranchMap):
 
 
 def test_combined_coefficient_cases(unit_box2):
-    # with a zero Hessian the combined coefficient is the gradient's 1-norm
-    bb = assess_boxes(_LinearMap(), [unit_box2], "combined")[0]
-    assert bb.combined.a == pytest.approx(4.0) and bb.combined.b == 0.0
+    # with a zero Hessian the coefficients are the gradient's 1-norm and no
+    # remainder; the retired "combined" method and "l2" pairing change nothing
+    bb = assess_boxes(_LinearMap(), [unit_box2])[0]
     assert (bb.split.a, bb.split.b) == (4.0, 0.0)
-    const = BoundCoefficients(0.0, 0.0, "split")
+    assert assess_branch(_LinearMap(), unit_box2, "combined", "l2") == bb
+    const = BoundCoefficients(0.0, 0.0)
     assert const.a == 0.0
-
-
-def test_combined_never_beats_split_by_muchon_quadratics(poly2d_sys):
-    # on random boxes the combined slack must be comparable: each is sound,
-    # so both must dominate the true variation; flag when neither wins
-    V = CandidateV(np.diag([10.0, 1.0]), 0.999)
-    rng = np.random.default_rng(8)
-    wins = {"split": 0, "combined": 0, "tie": 0}
-    for _ in range(100):
-        c = rng.uniform(-0.5, 0.5, 2)
-        h = rng.uniform(0.02, 0.15, 2)
-        box = HyperRect(c, [h[0], -h[0], h[1], -h[1]])
-        bb = assess_branch(DecreaseMap(poly2d_sys, V, 2, (0, 0)), box, "best")
-        xi = box_radius(box)
-        g_split = bb.split.a * xi + bb.split.b
-        g_comb = bb.combined.a * xi
-        if abs(g_split - g_comb) <= 1e-9:
-            wins["tie"] += 1
-        elif g_split < g_comb:
-            wins["split"] += 1
-        else:
-            wins["combined"] += 1
-    assert wins["split"] + wins["combined"] + wins["tie"] == 100
 
 
 def _bound_soundness_case(sys, V, M, branch, box, rng, n_pts=2000):
     fmap = DecreaseMap(sys, V, M, branch)
-    bb = assess_branch(fmap, box, "split")
+    bb = assess_branch(fmap, box)
     xs = box.center
     xi = box.max_abs_delta
     pts = sample_box(box, n_pts, rng)
@@ -180,7 +156,7 @@ def test_remainder_form_soundness(poly2d_sys):
         box = HyperRect(c, [h[0], -h[0], h[1], -h[1]])
         fmap = DecreaseMap(poly2d_sys, V, 2, (0, 0))
         val, grad = fmap.value_and_grad(box.center)
-        bb = assess_branch(fmap, box, "split")
+        bb = assess_branch(fmap, box)
         pts = sample_box(box, 2000, rng)
         F_pts = decrease_batch(poly2d_sys, V.P, V.rho_c, 2, pts)
         lin = val + (pts - box.center) @ grad
@@ -193,9 +169,9 @@ def test_remainder_shrinks_under_refinement(poly2d_sys):
     V = CandidateV(np.eye(2), 0.9)
     fmap = DecreaseMap(poly2d_sys, V, 2, (0, 0))
     parent = HyperRect([0.3, -0.2], [0.2, -0.2, 0.2, -0.2])
-    b_parent = assess_branch(fmap, parent, "split").split.b
+    b_parent = assess_branch(fmap, parent).split.b
     for child in refine2(parent):
-        b_child = assess_branch(fmap, child, "split").split.b
+        b_child = assess_branch(fmap, child).split.b
         assert b_child <= b_parent + 1e-12
 
 

@@ -129,7 +129,7 @@ def test_cli_levelset_subcommand(tmp_path):
     assert cli_main(["export", str(report_path), "--out", str(tmp_path / "export")]) == 0
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["verify-dt", str(missing)]) == 1
     bad_cfg = tmp_path / "bad.json"
@@ -138,19 +138,51 @@ def test_cli_error_paths(tmp_path):
     bad_cfg.write_text(json.dumps(bad))
     assert cli_main(["verify-dt", str(bad_cfg)]) == 1
 
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    report_path = tmp_path / "report.json"
+    assert cli_main(["verify-dt", str(cfg_path), "--out", str(report_path)]) == 0
+    no_horizon = tmp_path / "no_horizon.json"
+    doc = json.loads(report_path.read_text())
+    del doc["M_final"]
+    no_horizon.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for args in (
+        ["--with", str(report_path), "--spacing", "0"],
+        ["--with", str(report_path), "--spacing=-0.1"],
+        ["--with", str(report_path), "--spacing", "nan"],
+        ["--with", str(no_horizon)],
+    ):
+        assert cli_main(["levelset", str(cfg_path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+MALFORMED = {
+    "dim-not-a-number": ("system", "dim", "two"),
+    "boundary-spacing-zero": ("search", "boundary_spacing", 0),
+    "boundary-spacing-negative": ("search", "boundary_spacing", -0.1),
+    "boundary-spacing-nan": ("search", "boundary_spacing", float("nan")),
+    "rho-local-above-one": ("search", "rho_local", 2),
+    "local-delta-min-zero": ("search", "local_delta_min", 0),
+    "seed-split-zero": ("run", "seed_split", [0]),
+    "seed-split-wrong-length": ("run", "seed_split", [2, 2]),
+}
+
 
 def _malformed(kind):
     doc = copy.deepcopy(MINIMAL)
-    if kind == "dim-not-a-number":
-        doc["system"]["dim"] = "two"
-    elif kind == "no-regions":
+    if kind == "no-regions":
         del doc["system"]["regions"]
     elif kind == "not-an-object":
         doc = [doc]
+    else:
+        section, key, value = MALFORMED[kind]
+        doc[section][key] = value
     return doc
 
 
-@pytest.mark.parametrize("kind", ["dim-not-a-number", "no-regions", "not-an-object"])
+@pytest.mark.parametrize("kind", [*MALFORMED, "no-regions", "not-an-object"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
     doc = _malformed(kind)
     with pytest.raises(ConfigError):
@@ -189,6 +221,40 @@ def test_workers_accepted_without_effect(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["verify-dt", str(cfg_path), "--workers", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bound_options_accepted_without_effect(tmp_path, capsys):
+    def ledger(path):
+        doc = json.loads(path.read_text())
+        return doc["good"], doc["wrong"], doc["level"], doc["verdict"]
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    base = tmp_path / "split.json"
+    assert cli_main(["verify-dt", str(cfg_path), "--out", str(base)]) == 0
+
+    runs = [[str(cfg_path), "--bound-method", "best"]]
+    for key, value in (("bound_method", "combined"), ("bound_method", "best"), ("norm_pairing", "l2")):
+        doc = copy.deepcopy(MINIMAL)
+        doc["run"][key] = value
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps(doc))
+        runs.append([str(path)])
+    out = tmp_path / "other.json"
+    for args in runs:
+        assert cli_main(["verify-dt", *args, "--out", str(out)]) == 0
+        assert ledger(out) == ledger(base)
+
+    for key, value in (("bound_method", "bogus"), ("norm_pairing", "l1")):
+        doc = copy.deepcopy(MINIMAL)
+        doc["run"][key] = value
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["verify-dt", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_overrides(tmp_path):

@@ -5,27 +5,10 @@ import pytest
 
 from lyapcert.geometry import (
     HyperRect,
-    delta_from_vertices,
     max_abs_delta,
     refine2,
     tau_of,
 )
-
-
-def test_delta_from_vertices_rectangle():
-    verts = list(itertools.product((-1, 1), (-1.3, 1.3)))
-    d = delta_from_vertices([0, 0], verts)
-    assert d == pytest.approx([1, -1, 1.3, -1.3])
-
-
-def test_delta_from_single_vertex():
-    d = delta_from_vertices([2.0, -1.0], [[2.0, -1.0]])
-    assert d == pytest.approx([0, 0, 0, 0])
-
-
-def test_delta_from_vertices_1d():
-    d = delta_from_vertices([0.0], [[-2.0], [3.0]])
-    assert d == pytest.approx([3, -2])
 
 
 def test_tau_and_max_abs():
@@ -99,9 +82,11 @@ def test_contains_point_boundary():
 
 
 def test_delta_vertex_fixpoint():
+    # the vertices span exactly the box's offsets along every axis
     box = HyperRect([0.3, -0.2], [0.5, -0.25, 0.1, -0.4])
-    d = delta_from_vertices(box.center, list(box.vertices()))
-    assert d == pytest.approx(box.delta)
+    diff = np.array(list(box.vertices())) - box.center
+    assert diff.max(axis=0) == pytest.approx(box.hi_offsets)
+    assert diff.min(axis=0) == pytest.approx(box.lo_offsets)
 
 
 def test_nested_refinement_stays_inside():
