@@ -254,14 +254,16 @@ def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
     return list(zip(rng.lo.tolist(), rng.hi.tolist()))
 
 
-def batch_or_each(batch, one, items: Sequence, errors) -> list:
-    """batch(items), or, when that raises one of `errors`, one(item) for
-    each item, with the error in place of the result of an item that
-    raises one of them as well.
+def batch_or_each(batch, items: Sequence, errors) -> list:
+    """batch(items), or, when that raises one of `errors`, batch([item])[0]
+    for each item, with the error in place of the result of an item that
+    raises one of them alone as well; [] for no items, without a call.
 
     Results are per item and independent of the batch's makeup, so the
     retry changes which items fail, not the results of the others.
     """
+    if not items:
+        return []
     try:
         return batch(items)
     except errors as exc:
@@ -270,19 +272,29 @@ def batch_or_each(batch, one, items: Sequence, errors) -> list:
     out = []
     for item in items:
         try:
-            out.append(one(item))
+            out.append(batch([item])[0])
         except errors as exc:
             out.append(exc)
     return out
 
 
-def group_by_branch(branches_of: dict) -> dict:
-    """{branch: [keys]} from {key: [branches]}, keys in their original order."""
+def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
+    """ctx.boxes_branches(boxes), and for each (box index, branch) one
+    result per evaluation, evaluation(branch map, boxes), each run once
+    per branch through batch_or_each with `errors`: a failed result is
+    its error and leaves the box's other results in place.  A box whose
+    branches could not be enumerated has no keys."""
+    branches = ctx.boxes_branches(boxes)
     groups = {}
-    for key, branches in branches_of.items():
-        for b in branches:
-            groups.setdefault(b, []).append(key)
-    return groups
+    for k, seqs in enumerate(branches):
+        for seq in () if isinstance(seqs, Exception) else seqs:
+            groups.setdefault(seq, []).append(k)
+    found = {}
+    for seq, keys in groups.items():
+        fmap, group = ctx.map_for(seq), [boxes[k] for k in keys]
+        results = [batch_or_each(lambda bs: ev(fmap, bs), group, errors) for ev in evaluations]
+        found.update(((k, seq), res) for k, *res in zip(keys, *results))
+    return branches, found
 
 
 # -- W as a bounded map --------------------------------------------------------
@@ -354,6 +366,10 @@ class WContext:
         """W at every row of X, or the error of that row (w_point_values)."""
         return w_point_values(self.dsys, self.V, self.M, X)
 
+    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+        """The branch sequences of the M - 1 steps between W's iterates."""
+        return enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
+
     def map_for(self, branch):
         return SumOfIteratesMap(self.dsys, self.V, self.M, branch)
 
@@ -395,45 +411,14 @@ class WContext:
             pieces = [child for piece in pieces for child in refine2(piece)]
         return pieces
 
-    def _by_branch(self, boxes: Sequence[HyperRect], assess: bool = False):
-        """The branches of each box, and for each (box index, branch) its
-        (lo, hi) enclosure and, if `assess`, its assessment, one batch
-        per branch; an error marks a failed evaluation, a missing key a
-        box whose branches could not be enumerated."""
-        enumerated = enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
-        branches_of = {
-            k: seqs for k, seqs in enumerate(enumerated) if not isinstance(seqs, _W_ERRORS)
-        }
-        found = {}
-        for seq, keys in group_by_branch(branches_of).items():
-            fmap = self.map_for(seq)
-            group = [boxes[k] for k in keys]
-            ranges = batch_or_each(
-                lambda bs: interval_values(fmap, bs),
-                lambda b: interval_values(fmap, [b])[0],
-                group,
-                _W_ERRORS,
-            )
-            assessed = [None] * len(keys)
-            if assess:
-                assessed = batch_or_each(
-                    lambda bs: assess_boxes(fmap, bs),
-                    lambda b: assess_branch(fmap, b),
-                    group,
-                    _W_ERRORS,
-                )
-            for k, rng, bb in zip(keys, ranges, assessed):
-                found[k, seq] = (rng, bb)
-        return branches_of, found
-
     def _piece_bounds(self, boxes: list) -> list:
-        branches_of, found = self._by_branch(boxes, assess=True)
+        branches, found = by_branch(self, boxes, _W_ERRORS, interval_values, assess_boxes)
         out = []
-        for k, box in enumerate(boxes):
-            if k not in branches_of:
+        for k, (box, seqs) in enumerate(zip(boxes, branches)):
+            if isinstance(seqs, Exception):
                 out.append(None)
                 continue
-            ranges, assessments = zip(*(found[k, seq] for seq in branches_of[k]))
+            ranges, assessments = zip(*(found[k, seq] for seq in seqs))
             best = None
             if not any(isinstance(bb, _W_ERRORS) for bb in assessments):
                 xi = box_radius(box)
@@ -449,10 +434,10 @@ class WContext:
     def interval_values_over_boxes(self, boxes: Sequence[HyperRect]) -> list:
         """Per box, the hull of the interval images over all feasible
         branches (None on failure), one batch per branch."""
-        branches_of, found = self._by_branch(boxes)
+        branches, found = by_branch(self, boxes, _W_ERRORS, interval_values)
         out = []
-        for k in range(len(boxes)):
-            ranges = [found[k, seq][0] for seq in branches_of.get(k, ())]
+        for k, seqs in enumerate(branches):
+            ranges = [] if isinstance(seqs, Exception) else [found[k, seq][0] for seq in seqs]
             lo = _hull_lo(ranges)
             out.append(None if lo is None else Interval(lo, max(hi for _, hi in ranges)))
         return out

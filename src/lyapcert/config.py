@@ -17,9 +17,9 @@ A configuration is a single JSON document::
       "search": {
         "S": {"lo": [-1.0, -1.3], "hi": [1.0, 1.3]},
         "delta_min": 0.02,
-        "N1": {"lo": [-0.1, -0.1], "hi": [0.1, 0.1]},
+        "N1": {"lo": [-0.1, -0.1], "hi": [0.1, 0.1]},   // 0 in its interior
         "boundary_spacing": 0.01,
-        "P_local": [[...]],                // optional, else solved
+        "P_local": [[...]],                // optional (dim x dim, SPD), else solved
         "rho_local": 0.999,
         "local_delta_min": 0.01            // optional, else scaled delta_min
       },
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, ParseError
 from .expr import VectorField, contains_abs, parse_expr
 from .geometry import HyperRect
-from .localyap import local_search_config
+from .localyap import local_search_config, max_level_in_box
 from .system import (
     CONTINUOUS,
     DISCRETE,
@@ -236,10 +236,16 @@ class RunConfig:
     # -- validation and derived objects -----------------------------------
 
     def validate(self):
-        try:
-            CandidateV(self.P, self.rho_c)
-        except ValueError as exc:
-            raise ConfigError(f"bad candidate: {exc}") from exc
+        matrices = (("candidate", self.P, self.rho_c), ("P_local", self.P_local, self.rho_local))
+        for name, P, rho in matrices:
+            if P is None:
+                continue
+            try:
+                if P.shape != (self.dim, self.dim):
+                    raise ValueError(f"P must be {self.dim} x {self.dim}")
+                CandidateV(P, rho)
+            except ValueError as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
         if self.workers < 1:  # accepted for old configs, selects nothing
             raise ConfigError("workers must be >= 1")
         if self.bound_method not in BOUND_METHODS:
@@ -252,6 +258,7 @@ class RunConfig:
             self.verify_config()
             if self.N1 is not None:
                 local_search_config(self.N1, self.local_delta_min, self.rho_local)
+                max_level_in_box(np.eye(self.dim), self.N1)  # raises unless 0 is inside N1
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.build_system()  # parses all expressions

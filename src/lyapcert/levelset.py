@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import WContext
-from .geometry import HyperRect, SampleLedger, SampleRecord
+from .geometry import HyperRect, SampleLedger, SampleRecord, tau_of
 
 
 @dataclass
@@ -39,10 +39,27 @@ class LevelEstimate:
         )
 
 
-def _outside_local(x, local) -> bool:
-    if local is None:
-        return True
-    return float(np.asarray(x) @ local.P_L @ np.asarray(x)) > local.level_L
+# most box pairs one touch test compares at once; bounds its memory
+_TOUCH_PAIRS = 4096
+
+
+def _touching(centers, tau, good_centers, good_tau) -> np.ndarray:
+    """Which boxes (rows of `centers`, `tau`) touch a good box: on every
+    axis the centre distance exceeds the sum of the half-widths by at most
+    1e-12."""
+    hit = np.zeros(len(centers), bool)
+    cols = max(1, min(len(good_centers), _TOUCH_PAIRS))
+    rows = _TOUCH_PAIRS // cols
+    for s in range(0, len(centers), rows):
+        c, t = centers[s : s + rows, None], tau[s : s + rows, None]
+        for g in range(0, len(good_centers), cols):
+            gap = np.abs(good_centers[g : g + cols] - c) - (good_tau[g : g + cols] + t)
+            hit[s : s + rows] |= np.all(gap <= 1e-12, axis=2).any(axis=1)
+    return hit
+
+
+def _arrays(records):
+    return np.array([r.spoint for r in records]), np.array([r.tau for r in records])
 
 
 def obstacle_samples(
@@ -57,67 +74,49 @@ def obstacle_samples(
     sum of the per-axis extents; samples inside the local invariant set
     do not constrain the level set and are skipped.
     """
-    if not ledger.good or not ledger.wrong:
-        return []
-    good_centers = np.array([r.spoint for r in ledger.good])
-    good_tau = np.array([r.tau for r in ledger.good])
-    out = []
-    for rec in ledger.wrong:
-        if not _outside_local(rec.spoint, local):
-            continue
-        gap = np.abs(good_centers - rec.spoint) - (good_tau + rec.tau)
-        if np.any(np.all(gap <= 1e-12, axis=1)):
-            out.append(rec)
-    return out
+    open_ = [
+        rec
+        for rec in ledger.wrong
+        if local is None or float(rec.spoint @ local.P_L @ rec.spoint) > local.level_L
+    ]
+    hit = _touching(*_arrays(open_), *_arrays(ledger.good))
+    return [rec for rec, h in zip(open_, hit) if h]
 
 
 def boundary_samples(S: HyperRect, spacing: float, ledger: SampleLedger) -> list:
     """Grid of flat boxes on the faces of S, kept where they touch good boxes.
 
     A sample on a face is degenerate along the face normal and extends
-    `spacing` along the remaining axes.
+    `spacing` along the remaining axes.  A face is tested only against the
+    good boxes that reach it (the touch test's own term for the face
+    normal), which keeps the same samples.
     """
     if not (spacing > 0.0):
         raise ValueError("spacing must be positive")
     n = S.n
     lo, hi = S.lower, S.upper
+    good_c, good_t = _arrays(ledger.good)
     samples = []
     for axis in range(n):
+        axes = [i for i in range(n) if i != axis]
+        grids = [
+            np.linspace(lo[i], hi[i], max(1, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1))
+            for i in axes
+        ]
+        mesh = np.meshgrid(*grids, indexing="ij") if axes else []
+        coords = np.stack([m.ravel() for m in mesh], axis=1) if axes else np.zeros((1, 0))
+        delta = np.zeros(2 * n)
+        for i in axes:
+            delta[2 * i], delta[2 * i + 1] = spacing, -spacing
+        tau = tau_of(delta)
         for side_val in (lo[axis], hi[axis]):
-            axes = [i for i in range(n) if i != axis]
-            grids = []
-            for i in axes:
-                count = max(1, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1)
-                grids.append(np.linspace(lo[i], hi[i], count))
-            mesh = np.meshgrid(*grids, indexing="ij") if axes else []
-            coords = (
-                np.stack([m.ravel() for m in mesh], axis=1)
-                if axes
-                else np.zeros((1, 0))
-            )
-            for row in coords:
-                center = np.empty(n)
-                center[axis] = side_val
-                for k, i in enumerate(axes):
-                    center[i] = row[k]
-                delta = np.zeros(2 * n)
-                for i in axes:
-                    delta[2 * i] = spacing
-                    delta[2 * i + 1] = -spacing
-                box = HyperRect(center, delta)
-                samples.append(
-                    SampleRecord(box.center, box.delta, box.tau, None, None)
-                )
-    if not ledger.good:
-        return samples
-    good_centers = np.array([r.spoint for r in ledger.good])
-    good_tau = np.array([r.tau for r in ledger.good])
-    kept = []
-    for rec in samples:
-        gap = np.abs(good_centers - rec.spoint) - (good_tau + rec.tau)
-        if np.any(np.all(gap <= 1e-12, axis=1)):
-            kept.append(rec)
-    return kept
+            centers = np.insert(coords, axis, side_val, axis=1)
+            if ledger.good:
+                reach = np.abs(good_c[:, axis] - side_val) - (good_t[:, axis] + tau[axis]) <= 1e-12
+                taus = np.broadcast_to(tau, centers.shape)
+                centers = centers[_touching(centers, taus, good_c[reach], good_t[reach])]
+            samples += [SampleRecord(c, delta.copy(), tau.copy(), None, None) for c in centers]
+    return samples
 
 
 def level_lower_bound(

@@ -178,13 +178,8 @@ def verify_local(
     )
 
 
-def _each_on_failure(batch, items) -> list:
-    """batch(items), redone item by item when it raises an error that a
-    batch raises as a whole: ValueError (a NaN endpoint) or OverflowError
-    (a float power); see batch_or_each."""
-    if not items:
-        return []
-    return batch_or_each(batch, lambda item: batch([item])[0], items, (ValueError, OverflowError))
+# errors a hole-audit batch raises as a whole: a NaN endpoint, a float power
+_BATCH_ERRORS = (ValueError, OverflowError)
 
 
 def _hole_escapes(dsys, boxes, P, level) -> bool:
@@ -212,13 +207,15 @@ def _hole_escapes(dsys, boxes, P, level) -> bool:
         return regions_intersecting_boxes(dsys, [boxes[k] for k in ks])
 
     keys = range(len(boxes))
-    lows = _each_on_failure(lambda ks: quad(interval_batch([boxes[k] for k in ks]), "lo"), keys)
+    lows = batch_or_each(
+        lambda ks: quad(interval_batch([boxes[k] for k in ks]), "lo"), keys, _BATCH_ERRORS
+    )
     touching = [k for k in keys if isinstance(lows[k], Exception) or lows[k] <= level]
-    regions = dict(zip(touching, _each_on_failure(regions_of, touching)))
+    regions = dict(zip(touching, batch_or_each(regions_of, touching, _BATCH_ERRORS)))
     escapes = {}
     for r, region in enumerate(dsys.regions):
         ks = [k for k in touching if isinstance(regions[k], tuple) and r in regions[k]]
-        outs = _each_on_failure(lambda sel: images_escape(region, sel), ks)
+        outs = batch_or_each(lambda sel: images_escape(region, sel), ks, _BATCH_ERRORS)
         escapes.update(((k, r), out) for k, out in zip(ks, outs))
     return any(
         _one(lows[k]) <= level and any(_one(escapes[k, r]) for r in _one(regions[k])) for k in keys

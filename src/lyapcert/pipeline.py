@@ -122,6 +122,38 @@ class RunReport:
             return json.load(fh)
 
 
+def _numbers(value, count) -> bool:
+    return isinstance(value, list) and len(value) == count and all(
+        isinstance(v, (int, float)) for v in value
+    )
+
+
+def read_report(doc, n: Optional[int] = None) -> Optional[int]:
+    """Check `doc` as a stored report for what levelset, verify-ct and
+    export read: ConfigError("malformed report: ...") unless it is an
+    object whose M_final, if any, is a positive integer, whose `local` and
+    `level` are null or objects, and whose `good` and `wrong` are lists of
+    records with lists `c` of n numbers and `delta` of 2n (n: the given
+    dimension, else that of the first record, returned; None if none)."""
+    if not isinstance(doc, dict):
+        raise ConfigError("malformed report: not a JSON object")
+    M = doc.get("M_final")
+    if M is not None and (type(M) is not int or M < 1):
+        raise ConfigError(f"malformed report: M_final {M!r} is not a positive integer")
+    for key in ("local", "level"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise ConfigError(f"malformed report: {key} is not an object")
+    for key in ("good", "wrong"):
+        if not isinstance(doc.get(key), list):
+            raise ConfigError(f"malformed report: {key} is not a list")
+        for i, rec in enumerate(doc[key]):
+            c, delta = (rec.get(k) if isinstance(rec, dict) else None for k in ("c", "delta"))
+            n = len(c) if n is None and isinstance(c, list) else n
+            if not (_numbers(c, n) and _numbers(delta, 2 * n)):
+                raise ConfigError(f"malformed report: {key}[{i}] needs c, delta of n, 2n numbers")
+    return n
+
+
 def _local_certificate(cfg: RunConfig, dsys, notes) -> Optional[LocalCertificate]:
     if cfg.N1 is None:
         notes.append("no local neighborhood configured; origin hole stays open")
@@ -229,6 +261,7 @@ def run_verify_ct(cfg: RunConfig, prior: dict) -> RunReport:
 
     if cfg.mode != CONTINUOUS:
         raise ConfigError("continuous validation needs a continuous-mode config")
+    read_report(prior, cfg.dim)
     if prior.get("config_digest") != cfg.digest():
         raise ConfigError("prior report was produced by a different configuration")
     if prior.get("verdict") == VERDICT_HALTED:
@@ -275,13 +308,14 @@ def _load_local(prior: dict) -> Optional[LocalCertificate]:
 
 
 def _prior_horizon(prior: dict) -> int:
-    if "M_final" not in prior:
-        raise ConfigError("prior report has no M_final")
-    return int(prior["M_final"])
+    if prior.get("M_final") is None:
+        raise ConfigError("malformed report: no M_final")
+    return prior["M_final"]
 
 
 def recompute_level(cfg: RunConfig, prior: dict, spacing: Optional[float] = None) -> LevelEstimate:
     """Re-run the level estimation over a stored ledger."""
+    read_report(prior, cfg.dim)
     if prior.get("config_digest") != cfg.digest():
         raise ConfigError("report was produced by a different configuration")
     if spacing is not None and not (spacing > 0.0):
@@ -307,15 +341,9 @@ def _ledger_from_report(prior: dict):
 
     ledger = SampleLedger()
     for key in ("good", "wrong"):
-        for d in prior.get(key, []):
-            rec = SampleRecord(
-                np.asarray(d["c"], float),
-                np.asarray(d["delta"], float),
-                tau_of(np.asarray(d["delta"], float)),
-                d.get("F"),
-                d.get("gamma"),
-                d.get("flag"),
-            )
+        for d in prior[key]:
+            c, delta = np.asarray(d["c"], float), np.asarray(d["delta"], float)
+            rec = SampleRecord(c, delta, tau_of(delta), d.get("F"), d.get("gamma"), d.get("flag"))
             getattr(ledger, key).append(rec)
     return ledger
 
@@ -325,6 +353,7 @@ def _ledger_from_report(prior: dict):
 
 def export_plot_data(report: dict, out_dir, fmt: str = "csv", grid: int = 120):
     """Write box, level-contour, and trajectory data for external plotting."""
+    n = read_report(report) or 0
     os.makedirs(out_dir, exist_ok=True)
     cfg = RunConfig.from_dict(report["config"]) if report.get("config") else None
     paths = []
@@ -337,9 +366,6 @@ def export_plot_data(report: dict, out_dir, fmt: str = "csv", grid: int = 120):
                 + list(d["delta"])
                 + [d.get("F"), d.get("gamma"), d.get("flag") if key == "wrong" else None, status]
             )
-    n = len(report["good"][0]["c"]) if report.get("good") else (
-        len(report["wrong"][0]["c"]) if report.get("wrong") else 0
-    )
     header = (
         [f"c{i+1}" for i in range(n)]
         + [f"d{i+1}" for i in range(2 * n)]
@@ -350,7 +376,7 @@ def export_plot_data(report: dict, out_dir, fmt: str = "csv", grid: int = 120):
     if cfg is not None and report.get("level") and report["level"].get("Lbar") is not None:
         lbar = report["level"]["Lbar"]
         dsys = cfg.discrete_system()
-        wctx = WContext(dsys, cfg.candidate(), int(report["M_final"]))
+        wctx = WContext(dsys, cfg.candidate(), _prior_horizon(report))
         lo, hi = cfg.S.lower, cfg.S.upper
         xs = np.linspace(lo[0], hi[0], grid)
         ys = np.linspace(lo[1], hi[1], grid) if cfg.dim > 1 else [0.0]

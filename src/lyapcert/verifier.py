@@ -18,11 +18,10 @@ import numpy as np
 from .bounds import (
     WContext,
     assess_boxes,
-    assess_branch,
-    batch_or_each,
+    assess_branch,  # noqa: F401  (importable from here as well)
     box_radius,
+    by_branch,
     certificate_slack,
-    group_by_branch,
     DecreaseMap,
     DerivativeAlongFlowMap,
 )
@@ -99,7 +98,6 @@ class WDescription:
 class Certificate:
     ledger: SampleLedger
     M_final: int
-    W: Optional[WDescription]
     verdict: str  # "certified-on-A" or "halted"
     explored: int
     good_volume: float
@@ -239,43 +237,26 @@ def verify_boxes(ctx, boxes: Sequence[HyperRect]) -> list:
     flagged `domain-error`.  Each outcome is the same whatever the other
     boxes in the call are.
     """
-    outcomes = [None] * len(boxes)
-    branches_of = {}
-    for k, (box, branches) in enumerate(zip(boxes, ctx.boxes_branches(boxes))):
-        if isinstance(branches, BranchOverflowError):
-            outcomes[k] = BoxOutcome(False, None, None, "branch-overflow")
-        elif isinstance(branches, _EVAL_ERRORS):
-            outcomes[k] = BoxOutcome(False, None, None, "domain-error")
-        elif isinstance(branches, DomainExit):
-            # refinement shrinks the enclosure, but not a trajectory that has
-            # already left through the sample point itself
-            outcomes[k] = BoxOutcome(
-                False, None, None, "left-domain", refinable=not ctx.center_exits(box)
-            )
-        elif isinstance(branches, CoverageError):
-            outcomes[k] = BoxOutcome(False, None, None, "no-region")
-        else:
-            branches_of[k] = branches
-    assessed = {}
-    for b, keys in group_by_branch(branches_of).items():
-        fmap = ctx.map_for(b)
-        results = batch_or_each(
-            lambda bs: assess_boxes(fmap, bs),
-            lambda box: assess_branch(fmap, box),
-            [boxes[k] for k in keys],
-            _EVAL_ERRORS,
-        )
-        assessed.update(((k, b), bb) for k, bb in zip(keys, results))
-    for k, branches in branches_of.items():
-        assessments = [assessed[k, b] for b in branches]
-        if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
-            outcomes[k] = BoxOutcome(False, None, None, "domain-error")
-        else:
-            outcomes[k] = _decide(ctx, boxes[k], branches, assessments)
-    return outcomes
+    branches, found = by_branch(ctx, boxes, _EVAL_ERRORS, assess_boxes)
+    return [_decide(ctx, box, seqs, found, k) for k, (box, seqs) in enumerate(zip(boxes, branches))]
 
 
-def _decide(ctx, box, branches, assessments) -> BoxOutcome:
+def _decide(ctx, box, branches, found, k) -> BoxOutcome:
+    """The outcome of box k from its branches, or the error that stopped
+    their enumeration, and their assessments in `found` (by_branch)."""
+    if isinstance(branches, BranchOverflowError):
+        return BoxOutcome(False, None, None, "branch-overflow")
+    if isinstance(branches, _EVAL_ERRORS):
+        return BoxOutcome(False, None, None, "domain-error")
+    if isinstance(branches, DomainExit):
+        # refinement shrinks the enclosure, but not a trajectory that has
+        # already left through the sample point itself
+        return BoxOutcome(False, None, None, "left-domain", refinable=not ctx.center_exits(box))
+    if isinstance(branches, CoverageError):
+        return BoxOutcome(False, None, None, "no-region")
+    assessments = [found[k, b][0] for b in branches]
+    if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
+        return BoxOutcome(False, None, None, "domain-error")
     values = [a.value for a in assessments]
     eps = _point_jump(ctx, box, branches, values)
     gamma = certificate_slack([a.split for a in assessments], eps, box_radius(box))
@@ -348,7 +329,6 @@ def build_certified_region(cfg: VerifyConfig, ctx, M_label: Optional[int] = None
     return Certificate(
         ledger=ledger,
         M_final=M_label if M_label is not None else cfg.M,
-        W=None,
         verdict="certified-on-A",
         explored=explored,
         good_volume=ledger.good_volume(),
@@ -382,7 +362,6 @@ def search_horizon(cfg: VerifyConfig, sys: PiecewiseSystem, V: CandidateV) -> Ce
         if last is not None:
             cert.explored += last.explored
         if quality_ok(cfg, cert):
-            cert.W = WDescription(V.P.copy(), V.rho_c, M)
             return cert
         last = cert
     last.verdict = "halted"
@@ -400,7 +379,6 @@ def verify_continuous(
         ct_sys, dt_sys, W.candidate(), W.M, cfg.domain, cfg.branch_cap
     )
     cert = build_certified_region(cfg, ctx, M_label=W.M)
-    cert.W = W
     if not quality_ok(cfg, cert):
         cert.verdict = "halted"
     return cert

@@ -11,6 +11,7 @@ from lyapcert.bounds import (
     DerivativeAlongFlowMap,
     WContext,
     assess_branch,
+    batch_or_each,
     certificate_slack,
     gradient_coefficient,
     remainder_bound,
@@ -288,3 +289,22 @@ def test_w_bound_refuses_unbounded_refinement():
     assert fine is not None and fine <= wctx.value([0.5])
     assert wctx.lower_bounds([good, huge], subdivide_to=0.1 / 2**10) == [fine, None]
     assert wctx.lower_bounds([good], subdivide_to=0.1 / 2**13) == [None]
+
+
+def test_batch_or_each_retries_item_by_item():
+    calls = []
+
+    def batch(items):
+        calls.append(list(items))
+        if 3 in items:
+            raise ValueError("three")
+        return [10 * i for i in items]
+
+    assert batch_or_each(batch, [], (ValueError,)) == []
+    assert calls == []
+    assert batch_or_each(batch, [1, 5], (ValueError,)) == [10, 50]
+    out = batch_or_each(batch, [1, 3, 5], (ValueError,))
+    assert out[0] == 10 and isinstance(out[1], ValueError) and out[2] == 50
+    assert calls == [[1, 5], [1, 3, 5], [1], [3], [5]]
+    with pytest.raises(ValueError):
+        batch_or_each(batch, [3], (OverflowError,))

@@ -142,20 +142,41 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg_path.write_text(json.dumps(MINIMAL))
     report_path = tmp_path / "report.json"
     assert cli_main(["verify-dt", str(cfg_path), "--out", str(report_path)]) == 0
-    no_horizon = tmp_path / "no_horizon.json"
-    doc = json.loads(report_path.read_text())
-    del doc["M_final"]
-    no_horizon.write_text(json.dumps(doc))
+    good = json.loads(report_path.read_text())
+    first = good["good"][0]
+    broken = {
+        "no_horizon": {k: v for k, v in good.items() if k != "M_final"},
+        "a_list": [1, 2],
+        "no_c": {**good, "good": [{k: v for k, v in first.items() if k != "c"}]},
+        "bad_horizon": {**good, "M_final": "x"},
+        "short_delta": {**good, "good": [{**first, "delta": [0.1]}]},
+    }
+    for name, doc in broken.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    no_horizon, a_list, no_c, bad_horizon, short_delta = (
+        str(tmp_path / f"{name}.json") for name in broken
+    )
+    ct_doc = copy.deepcopy(MINIMAL)
+    ct_doc["system"].update(mode="continuous", euler_h=0.1, regions=[{"field": ["-x1"]}])
+    ct_cfg = tmp_path / "ct.json"
+    ct_cfg.write_text(json.dumps(ct_doc))
     capsys.readouterr()
     for args in (
-        ["--with", str(report_path), "--spacing", "0"],
-        ["--with", str(report_path), "--spacing=-0.1"],
-        ["--with", str(report_path), "--spacing", "nan"],
-        ["--with", str(no_horizon)],
+        ["levelset", str(cfg_path), "--with", str(report_path), "--spacing", "0"],
+        ["levelset", str(cfg_path), "--with", str(report_path), "--spacing=-0.1"],
+        ["levelset", str(cfg_path), "--with", str(report_path), "--spacing", "nan"],
+        ["levelset", str(cfg_path), "--with", no_horizon],
+        ["levelset", str(cfg_path), "--with", a_list],
+        ["levelset", str(cfg_path), "--with", no_c],
+        ["levelset", str(cfg_path), "--with", bad_horizon],
+        ["levelset", str(cfg_path), "--with", short_delta],
+        ["verify-ct", str(ct_cfg), "--with", a_list, "--out", str(tmp_path / "ct_r.json")],
+        ["export", a_list, "--out", str(tmp_path / "export")],
+        ["export", no_c, "--out", str(tmp_path / "export")],
     ):
-        assert cli_main(["levelset", str(cfg_path), *args]) == 1
+        assert cli_main(args) == 1, args
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and "Traceback" not in err, args
 
 
 MALFORMED = {
@@ -167,6 +188,10 @@ MALFORMED = {
     "local-delta-min-zero": ("search", "local_delta_min", 0),
     "seed-split-zero": ("run", "seed_split", [0]),
     "seed-split-wrong-length": ("run", "seed_split", [2, 2]),
+    "N1-without-origin": ("search", "N1", {"lo": [0.1], "hi": [0.5]}),
+    "P-local-wrong-shape": ("search", "P_local", [[1.0, 0.0]]),
+    "P-local-indefinite": ("search", "P_local", [[-1.0]]),
+    "P-wrong-shape": ("candidate", "P", [[1.0, 0.0], [0.0, 1.0]]),
 }
 
 

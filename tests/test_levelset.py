@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapcert import CandidateV, HyperRect
+from lyapcert import CandidateV, HyperRect, levelset
 from lyapcert.bounds import WContext
 from lyapcert.geometry import SampleLedger, SampleRecord, tau_of
 from lyapcert.levelset import (
@@ -16,6 +16,7 @@ from lyapcert.localyap import LocalCertificate
 from lyapcert.verifier import DecreaseContext, VerifyConfig, build_certified_region
 
 from oracles import sample_box, w_batch
+from ref_levelset import ref_boundary_samples, ref_obstacle_samples
 
 
 def _record(center, half, F=None, gamma=None, flag=None):
@@ -90,6 +91,104 @@ def test_boundary_samples_1d():
     assert pts == [-1.0, 1.0]
     for r in samples:
         assert r.box().max_abs_delta == 0.0
+
+
+def _bits(records):
+    """Each record's arrays as bytes, with its other fields, in order."""
+    return [
+        tuple(np.asarray(a, float).tobytes() for a in (r.spoint, r.delta, r.tau))
+        + (r.F_value, r.gamma, r.flag)
+        for r in records
+    ]
+
+
+EDGE_S = HyperRect.from_bounds([0.0, 0.0], [1.0, 9.0])
+
+
+def _edge_ledger():
+    """Good boxes at x = 0 and undecided ones whose x gap to them, and
+    good boxes whose x gap to the face x = 0 of EDGE_S, is exactly +-1e-12
+    or one ulp beyond; rows at different y do not meet.  One more good box
+    touches EDGE_S only at its corner (1, 9), and one more undecided box
+    has its centre on the boundary of the local set {x'x <= 0.0625}."""
+    ledger = SampleLedger()
+    cases = [(2.0**-50, 1e-12), (2.0**-50, np.nextafter(1e-12, 1)), (2.0**-40, -1e-12)]
+    for row, (t, d) in enumerate(cases):
+        y = 3.0 * row
+        for side in (1.0, -1.0):
+            c = side * (2 * t + d)
+            assert abs(0.0 - c) - (t + t) == d
+            ledger.wrong.append(_record([c, y], [t, 0.1]))
+        assert abs(-(2 * t + d) - 0.0) - (2 * t + 0.0) == d
+        ledger.good.append(_record([0.0, y], [t, 0.1]))
+        ledger.good.append(_record([-(2 * t + d), y + 0.5], [2 * t, 0.1]))
+    ledger.good.append(_record([1.05, 9.05], [0.05, 0.05]))
+    ledger.wrong.append(_record([0.0, 0.25], [2.0**-50, 0.15]))  # on x'x = 0.0625
+    return ledger
+
+
+def _dyadic_ledger(n, count, seed):
+    """Boxes of two sizes on a dyadic grid in [-1, 1]^n, alternately good
+    and undecided; they may touch, overlap or lie apart."""
+    rng = np.random.default_rng(seed)
+    ledger = SampleLedger()
+    for k in range(count):
+        h = float(rng.choice([0.25, 0.125]))
+        c = -1.0 + h * (2 * rng.integers(0, int(round(1 / h)), n) + 1)
+        (ledger.good if k % 2 else ledger.wrong).append(_record(c, [h] * n))
+    return ledger
+
+
+def _selection_cases(cubic1d_sys, poly2d_sys):
+    """(S, spacing, ledger, local set) on 1-D, 2-D and 3-D ledgers."""
+    S1 = HyperRect([0.0], [1.0, -1.0])
+    cfg1 = VerifyConfig(S=S1, delta_min=0.02, M=1, M_max=1, rho_c=0.9)
+    V1 = CandidateV(np.eye(1), 0.9)
+    cert1 = build_certified_region(cfg1, DecreaseContext(cubic1d_sys, V1, 1, cfg1.domain, 64))
+    S2 = HyperRect([0, 0], [1.0, -1.0, 1.3, -1.3])
+    cfg2 = VerifyConfig(S=S2, delta_min=0.1, M=4, M_max=4, rho_c=0.85)
+    V2 = CandidateV(np.diag([10.0, 1.0]), 0.85)
+    cert2 = build_certified_region(cfg2, DecreaseContext(poly2d_sys, V2, 4, cfg2.domain, 64))
+    S3 = HyperRect.from_bounds([-1.0] * 3, [1.0] * 3)
+    only_wrong = _dyadic_ledger(3, 40, 5)
+    only_wrong.good = []
+
+    def local(P, level):
+        n = len(P)
+        N1 = HyperRect.from_bounds([-0.5] * n, [0.5] * n)
+        return LocalCertificate(A_lin=[], P_L=np.diag(P), N1=N1, level_L=level, verified=True)
+
+    return [
+        (S1, 0.01, cert1.ledger, local([1.0], 0.09)),
+        (S2, 0.05, cert2.ledger, local([10.0, 1.0], 0.2)),
+        (EDGE_S, 0.25, _edge_ledger(), local([1.0, 1.0], 0.0625)),
+        (S3, 0.2, _dyadic_ledger(3, 120, 4), local([1.0, 2.0, 3.0], 0.3)),
+        (S3, 0.5, only_wrong, None),
+    ]
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 10**9])
+def test_level_samples_match_per_record_loops(monkeypatch, pairs, cubic1d_sys, poly2d_sys):
+    if pairs is not None:  # chunks of one box pair, and one chunk for all
+        monkeypatch.setattr(levelset, "_TOUCH_PAIRS", pairs)
+    for S, spacing, ledger, local in _selection_cases(cubic1d_sys, poly2d_sys):
+        for loc in (None, local):
+            got = obstacle_samples(ledger, 0.1, loc)
+            assert _bits(got) == _bits(ref_obstacle_samples(ledger, 0.1, loc))
+        got = boundary_samples(S, spacing, ledger)
+        assert _bits(got) == _bits(ref_boundary_samples(S, spacing, ledger))
+
+
+def test_touch_edge_is_one_ulp():
+    ledger = _edge_ledger()
+    picked = {tuple(r.spoint) for r in obstacle_samples(ledger, 0.1)}
+    assert {tuple(r.spoint) for r in ledger.wrong} - picked == {
+        (side * (2 * 2.0**-50 + np.nextafter(1e-12, 1)), 3.0) for side in (1.0, -1.0)
+    }
+    face = {r.spoint[1] for r in boundary_samples(EDGE_S, 0.25, ledger) if r.spoint[0] == 0.0}
+    assert {0.5, 6.5} <= face and not {3.5, 3.75} & face
+    corner = {tuple(r.spoint) for r in boundary_samples(EDGE_S, 0.25, ledger) if r.spoint[1] > 8}
+    assert corner == {(1.0, 8.75), (1.0, 9.0), (0.75, 9.0)}
 
 
 def test_level_lower_bound_arithmetic(switched_sys):
