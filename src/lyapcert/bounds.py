@@ -84,9 +84,25 @@ def remainder_bound(hess, tau: np.ndarray) -> float:
 # -- branch-restricted scalar maps ------------------------------------------
 
 
+def _branch_rows(branch, steps: int, what: str) -> np.ndarray:
+    """One region sequence, or R of them, as an (R, steps) int matrix."""
+    rows = np.atleast_2d(np.array(branch, dtype=np.intp))
+    if rows.ndim != 2 or rows.shape[1] != steps:
+        raise ValueError(f"branch length must {what}")
+    return rows
+
+
 class _BranchMap:
-    """A scalar map of x along one fixed branch; a subclass supplies
-    `_eval` over any payload sequence, and its own `interval_hessian`."""
+    """A scalar map of x along fixed branches; a subclass supplies `_eval`
+    over any payload sequence, and its own `interval_hessian`.
+
+    `branch` is one region sequence (a tuple), or an (R, steps) int matrix
+    whose row k fixes the regions of entry k of batched payloads of R
+    entries.  One row serves a batch of any size, and plain floats
+    (`value`, `value_and_grad`).  Each step runs through apply_field,
+    so entry k is bit for bit what the one-row map of its sequence gives
+    for it alone, or the pass raises DomainError (stitch_rows).
+    """
 
     def value(self, x) -> float:
         return float(self._eval([float(v) for v in x]))
@@ -108,18 +124,16 @@ class _BranchMap:
 class DecreaseMap(_BranchMap):
     """F(x) = V(G^M(x)) - rho_c V(x) with the region fixed at every step."""
 
-    def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch: Sequence[int]):
-        if len(branch) != M:
-            raise ValueError("branch length must equal the horizon")
+    def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch):
         self.sys = sys
         self.V = V
         self.M = M
-        self.branch = tuple(branch)
+        self.branch = _branch_rows(branch, M, "equal the horizon")
 
     def _eval(self, values):
         state = list(values)
-        for idx in self.branch:
-            state = apply_field(self.sys, idx, state)
+        for regions in self.branch.T:
+            state = apply_field(self.sys, regions, state)
         return quad_form(self.V.P, state) - self.V.rho_c * quad_form(self.V.P, values)
 
     def interval_hessian(self, ivec):
@@ -129,19 +143,17 @@ class DecreaseMap(_BranchMap):
 class SumOfIteratesMap(_BranchMap):
     """W(x) = sum_{j<M} V(G^j(x)) with the region fixed at every step."""
 
-    def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch: Sequence[int]):
-        if len(branch) != M - 1:
-            raise ValueError("branch length must be M - 1 (steps between iterates)")
+    def __init__(self, sys: PiecewiseSystem, V: CandidateV, M: int, branch):
         self.sys = sys
         self.V = V
         self.M = M
-        self.branch = tuple(branch)
+        self.branch = _branch_rows(branch, M - 1, "be M - 1 (steps between iterates)")
 
     def _eval(self, values):
         state = list(values)
         total = quad_form(self.V.P, state)
-        for idx in self.branch:
-            state = apply_field(self.sys, idx, state)
+        for regions in self.branch.T:
+            state = apply_field(self.sys, regions, state)
             total = total + quad_form(self.V.P, state)
         return total
 
@@ -152,11 +164,12 @@ class SumOfIteratesMap(_BranchMap):
 class DerivativeAlongFlowMap(_BranchMap):
     """F(x) = grad W(x) . f(x), the time derivative of W along a flow.
 
-    W is the sum-of-iterates function of the discretized map; f is one
-    region's continuous-time field.  An inner layer of first-order duals
-    produces grad W symbolically in whatever payload algebra the outer
-    evaluation runs in, which buys the extra derivative order needed for
-    the Hessian of F.
+    W is the sum-of-iterates function of the discretized map along
+    `branch`; f is the continuous-time field of `region`, an int, or one
+    region per branch row.  An inner layer of first-order duals produces
+    grad W symbolically in whatever payload algebra the outer evaluation
+    runs in, which buys the extra derivative order needed for the Hessian
+    of F.
     """
 
     def __init__(
@@ -165,25 +178,17 @@ class DerivativeAlongFlowMap(_BranchMap):
         dt_sys: PiecewiseSystem,
         V: CandidateV,
         M: int,
-        region: int,
-        branch: Sequence[int],
+        region,
+        branch,
     ):
-        if len(branch) != M - 1:
-            raise ValueError("branch length must be M - 1")
         self.ct_sys = ct_sys
-        self.dt_sys = dt_sys
-        self.V = V
-        self.M = M
-        self.region = region
-        self.branch = tuple(branch)
+        self.W = SumOfIteratesMap(dt_sys, V, M, branch)
+        self.region = np.array(region, dtype=np.intp).reshape(-1)
+        if len(self.region) != len(self.W.branch):
+            raise ValueError("need one flow region per branch row")
 
     def _eval(self, values):
-        inner = dual_seeds(list(values))
-        state = list(inner)
-        total = quad_form(self.V.P, state)
-        for idx in self.branch:
-            state = apply_field(self.dt_sys, idx, state)
-            total = total + quad_form(self.V.P, state)
+        total = self.W._eval(dual_seeds(list(values)))
         flow = apply_field(self.ct_sys, self.region, list(values))
         acc = None
         for k in range(len(values)):
@@ -280,21 +285,26 @@ def batch_or_each(batch, items: Sequence, errors) -> list:
 
 def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
     """ctx.boxes_branches(boxes), and for each (box index, branch) one
-    result per evaluation, evaluation(branch map, boxes), each run once
-    per branch through batch_or_each with `errors`: a failed result is
-    its error and leaves the box's other results in place.  A box whose
-    branches could not be enumerated has no keys."""
+    result per evaluation, evaluation(branch map, boxes).
+
+    The (box, branch) pairs of the pass are the rows of one branch map,
+    ctx.map_for(branches), and each evaluation runs once over all of them
+    through batch_or_each with `errors`: a failed result is its error and
+    leaves the box's other results in place.  Rows are independent, so a
+    result does not depend on the rest of the pass.  A box whose branches
+    could not be enumerated has no keys."""
     branches = ctx.boxes_branches(boxes)
-    groups = {}
-    for k, seqs in enumerate(branches):
-        for seq in () if isinstance(seqs, Exception) else seqs:
-            groups.setdefault(seq, []).append(k)
-    found = {}
-    for seq, keys in groups.items():
-        fmap, group = ctx.map_for(seq), [boxes[k] for k in keys]
-        results = [batch_or_each(lambda bs: ev(fmap, bs), group, errors) for ev in evaluations]
-        found.update(((k, seq), res) for k, *res in zip(keys, *results))
-    return branches, found
+    live = [(k, seqs) for k, seqs in enumerate(branches) if not isinstance(seqs, Exception)]
+    keys = [(k, seq) for k, seqs in live for seq in seqs]
+
+    def over(evaluation):
+        def batch(rows):
+            fmap = ctx.map_for([seq for _, seq in rows])
+            return evaluation(fmap, [boxes[k] for k, _ in rows])
+
+        return batch_or_each(batch, keys, errors)
+
+    return branches, dict(zip(keys, zip(*map(over, evaluations))))
 
 
 # -- W as a bounded map --------------------------------------------------------
@@ -370,8 +380,9 @@ class WContext:
         """The branch sequences of the M - 1 steps between W's iterates."""
         return enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
 
-    def map_for(self, branch):
-        return SumOfIteratesMap(self.dsys, self.V, self.M, branch)
+    def map_for(self, branches):
+        """The W map with one row per branch sequence."""
+        return SumOfIteratesMap(self.dsys, self.V, self.M, branches)
 
     def lower_bound_over_box(self, box: HyperRect, subdivide_to: Optional[float] = None):
         """Rigorous lower bound on min W over the box; None if not computable.
@@ -433,7 +444,7 @@ class WContext:
 
     def interval_values_over_boxes(self, boxes: Sequence[HyperRect]) -> list:
         """Per box, the hull of the interval images over all feasible
-        branches (None on failure), one batch per branch."""
+        branches (None on failure), in one batch."""
         branches, found = by_branch(self, boxes, _W_ERRORS, interval_values)
         out = []
         for k, seqs in enumerate(branches):

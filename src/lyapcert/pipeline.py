@@ -128,13 +128,46 @@ def _numbers(value, count) -> bool:
     )
 
 
+def _matrix(value, n) -> bool:
+    return n >= 1 and isinstance(value, list) and len(value) == n and all(
+        _numbers(row, n) for row in value
+    )
+
+
+def _positive_definite(rows) -> bool:
+    P = np.array(rows, dtype=float)
+    return bool(
+        np.all(np.isfinite(P))
+        and np.allclose(P, P.T, atol=1e-10)
+        and np.min(np.linalg.eigvalsh(P)) > 0.0
+    )
+
+
+def _read_local(local: dict, n: Optional[int]):
+    """Check a verified `local` section for what _load_local reads."""
+    P_L = local.get("P_L")
+    n = n if n is not None else len(P_L) if isinstance(P_L, list) else 0
+    A_lin = local.get("A_lin")
+    if not (isinstance(A_lin, list) and A_lin and all(_matrix(A, n) for A in A_lin)):
+        raise ConfigError("malformed report: local A_lin needs dim x dim number matrices")
+    if not (_matrix(P_L, n) and _positive_definite(P_L)):
+        raise ConfigError("malformed report: local P_L is not a positive definite dim x dim matrix")
+    if not (_numbers(local.get("N1_lo"), n) and _numbers(local.get("N1_hi"), n)):
+        raise ConfigError("malformed report: local N1_lo, N1_hi need dim numbers")
+    if not _numbers([local.get("level_L")], 1):
+        raise ConfigError("malformed report: local level_L is not a number")
+
+
 def read_report(doc, n: Optional[int] = None) -> Optional[int]:
     """Check `doc` as a stored report for what levelset, verify-ct and
     export read: ConfigError("malformed report: ...") unless it is an
     object whose M_final, if any, is a positive integer, whose `local` and
     `level` are null or objects, and whose `good` and `wrong` are lists of
     records with lists `c` of n numbers and `delta` of 2n (n: the given
-    dimension, else that of the first record, returned; None if none)."""
+    dimension, else that of the first record, returned; None if none).
+    A verified `local` needs dim x dim number matrices `A_lin` and a
+    positive definite `P_L`, bounds `N1_lo`, `N1_hi` and a number
+    `level_L`; a `level.Lbar`, if any, must be a number."""
     if not isinstance(doc, dict):
         raise ConfigError("malformed report: not a JSON object")
     M = doc.get("M_final")
@@ -151,6 +184,12 @@ def read_report(doc, n: Optional[int] = None) -> Optional[int]:
             n = len(c) if n is None and isinstance(c, list) else n
             if not (_numbers(c, n) and _numbers(delta, 2 * n)):
                 raise ConfigError(f"malformed report: {key}[{i}] needs c, delta of n, 2n numbers")
+    local = doc.get("local") or {}
+    if local.get("verified"):
+        _read_local(local, n)
+    Lbar = (doc.get("level") or {}).get("Lbar")
+    if Lbar is not None and not _numbers([Lbar], 1):
+        raise ConfigError(f"malformed report: level Lbar {Lbar!r} is not a number")
     return n
 
 

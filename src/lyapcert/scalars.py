@@ -105,3 +105,47 @@ def stack_like(template, consts):
     along a new leading axis, in the template's payload kind."""
     x = np.multiply.outer(consts, np.ones(getattr(template, "lo", template).shape))
     return x if isinstance(template, np.ndarray) else IntervalArray(x, x)
+
+
+def take_rows(v, rows):
+    """The entries `rows` (last axis) of a batched payload, in its own kind.
+
+    A plain number is the same for every entry and stays as it is.
+    Interval arrays and dual numbers take field by field: they are built
+    from their slots, in order."""
+    if isinstance(v, numbers.Real):
+        return v
+    if isinstance(v, np.ndarray):
+        return v[..., rows]
+    if isinstance(v, tuple):  # the gradient of a Dual
+        return tuple(take_rows(g, rows) for g in v)
+    return type(v)(*(take_rows(getattr(v, a), rows) for a in v.__slots__))
+
+
+def stitch_rows(parts, rows, count: int):
+    """The batched payload of `count` entries whose entries rows[i] are
+    parts[i]: the inverse of take_rows over a partition of the entries.
+
+    Plain numbers stand for every entry of their part.  One number shared
+    by all parts stays a number, and numbers among float arrays fill their
+    entries, which then take the same bits under every float operation.
+    Other parts must have one kind: a number beside an interval or dual
+    payload would change the operations that later steps apply to its
+    entries, so that, and any other mix, raises DomainError.
+    """
+    first = parts[0]
+    if all(isinstance(p, numbers.Real) for p in parts):
+        if len({float(p).hex() for p in parts}) == 1:
+            return first
+    elif all(isinstance(p, (numbers.Real, np.ndarray)) for p in parts):
+        shape = next(p.shape for p in parts if isinstance(p, np.ndarray))
+        out = np.empty(shape[:-1] + (count,))
+        for p, r in zip(parts, rows):
+            out[..., r] = p
+        return out
+    elif all(type(p) is type(first) for p in parts):
+        if isinstance(first, tuple):
+            return tuple(stitch_rows(gs, rows, count) for gs in zip(*parts))
+        fields = ([getattr(p, a) for p in parts] for a in first.__slots__)
+        return type(first)(*(stitch_rows(f, rows, count) for f in fields))
+    raise DomainError("branch rows give payloads of different kinds")

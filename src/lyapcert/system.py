@@ -19,6 +19,7 @@ from .expr import Expr, VectorField, eval_any, eval_interval, eval_real, shift_v
 from .expr import Bin, Const, Var
 from .geometry import HyperRect, interval_batch
 from .interval import IntervalArray, require_no_nan
+from .scalars import stitch_rows, take_rows
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -210,10 +211,24 @@ def step(sys: PiecewiseSystem, x, forced_region: Optional[int] = None) -> np.nda
     return np.array([eval_real(c, x) for c in field.components])
 
 
-def apply_field(sys: PiecewiseSystem, region_idx: int, values: Sequence):
-    """Apply one region's field in any payload algebra."""
-    field = sys.regions[region_idx].field
-    return [eval_any(c, values) for c in field.components]
+def apply_field(sys: PiecewiseSystem, regions: np.ndarray, values: Sequence):
+    """Apply region regions[k]'s field to entry k of batched payloads, in
+    any payload algebra; a single region serves a batch of any size.
+
+    When the entries share one region, its field runs on all of them.
+    Otherwise each region's field runs on its own entries (take_rows) and
+    the components are stitched back (stitch_rows), so that every entry
+    goes through exactly the operations of its region alone.
+    """
+
+    def field(r, vals):
+        return [eval_any(c, vals) for c in sys.regions[r].field.components]
+
+    if (regions == regions[0]).all():
+        return field(int(regions[0]), values)
+    rows = [np.flatnonzero(regions == r) for r in np.unique(regions)]
+    parts = [field(int(regions[sel[0]]), [take_rows(v, sel) for v in values]) for sel in rows]
+    return [stitch_rows(comp, rows, len(regions)) for comp in zip(*parts)]
 
 
 def iterate(sys: PiecewiseSystem, x, M: int, branch: Optional[Sequence] = None):

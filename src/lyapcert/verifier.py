@@ -128,8 +128,9 @@ class DecreaseContext:
     def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
         return enumerate_boxes_branches(self.sys, boxes, self.M, self.domain, self.cap)
 
-    def map_for(self, branch):
-        return DecreaseMap(self.sys, self.V, self.M, branch)
+    def map_for(self, branches):
+        """The decrease map with one row per branch sequence."""
+        return DecreaseMap(self.sys, self.V, self.M, branches)
 
     def point_branches(self, x):
         return enumerate_branches(self.sys, x, self.M, self.cap)
@@ -178,11 +179,11 @@ class FlowDerivativeContext:
             out[k] = pairs
         return out
 
-    def map_for(self, branch):
-        region, seq = branch
-        return DerivativeAlongFlowMap(
-            self.ct_sys, self.dt_sys, self.V, self.M, region, seq
-        )
+    def map_for(self, branches):
+        """The flow map with one row per (flow region, sequence) pair."""
+        regions = [r for r, _ in branches]
+        seqs = [s for _, s in branches]
+        return DerivativeAlongFlowMap(self.ct_sys, self.dt_sys, self.V, self.M, regions, seqs)
 
     def point_branches(self, x):
         regions = region_of(self.ct_sys, x)
@@ -230,12 +231,11 @@ def verify_boxes(ctx, boxes: Sequence[HyperRect]) -> list:
     """Certify each box or report why it could not be certified.
 
     Branch patterns are enumerated for all boxes in one interval walk;
-    then every branch is assessed for all boxes that can follow it in one
-    batched evaluation.
-    A batch that meets a DomainError, or the OverflowError of a float
-    power, is assessed again box by box, so only the boxes at fault are
-    flagged `domain-error`.  Each outcome is the same whatever the other
-    boxes in the call are.
+    then every (box, branch) pair is assessed in one batched evaluation
+    (by_branch).  A batch that meets a DomainError, or the OverflowError
+    of a float power, is assessed again pair by pair, so only the boxes at
+    fault are flagged `domain-error`.  Each outcome is the same whatever
+    the other boxes in the call are.
     """
     branches, found = by_branch(ctx, boxes, _EVAL_ERRORS, assess_boxes)
     return [_decide(ctx, box, seqs, found, k) for k, (box, seqs) in enumerate(zip(boxes, branches))]

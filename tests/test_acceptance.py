@@ -7,8 +7,10 @@ stated resolution; see the decisions ledger.  It is marked xfail(strict)
 so the defect stays visible without masking real regressions.
 """
 
-import os
+import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,11 @@ from lyapcert.verifier import DecreaseContext, VerifyConfig, build_certified_reg
 
 from conftest import CONFIG_DIR, one_box
 from oracles import decrease_batch, fd_gradient, sample_box
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from checks import stage_fingerprint  # noqa: E402  (one definition of the ledger hash)
+
+FINGERPRINTS = Path(__file__).resolve().parent / "fingerprints.json"
 
 PAPER_SAMPLES_2D = 2012
 
@@ -72,6 +79,14 @@ def run_piecewise_2_workers():
     cfg = RunConfig.from_file(CONFIG_DIR / "example_piecewise.json")
     cfg.workers = 2
     return run_verify_dt(cfg)
+
+
+@pytest.fixture(scope="session")
+def run_powertrain():
+    cfg = RunConfig.from_file(CONFIG_DIR / "example_powertrain.json")
+    t0 = time.perf_counter()
+    rep = run_verify_dt(cfg)
+    return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -217,18 +232,12 @@ def test_criterion5_3d(run_3d):
         assert ok, name
 
 
-# -- criterion 6: powertrain (opt-in: 30 minute budget) ----------------------------
+# -- criterion 6: powertrain (30 minute budget) -------------------------------------
 
 
-@pytest.mark.skipif(
-    os.environ.get("LYAPCERT_RUN_POWERTRAIN") != "1",
-    reason="powertrain run is budgeted at 30 minutes; enable with LYAPCERT_RUN_POWERTRAIN=1",
-)
-def test_criterion6_powertrain():
+def test_criterion6_powertrain(run_powertrain):
+    rep, elapsed = run_powertrain
     cfg = RunConfig.from_file(CONFIG_DIR / "example_powertrain.json")
-    t0 = time.perf_counter()
-    rep = run_verify_dt(cfg)
-    elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
     # undecided boxes are reported explicitly, never rescued
     assert rep.counts["wrong"] > 0
@@ -466,3 +475,43 @@ def test_sublevel_containment_2d(run_2d_by_workers):
         uncovered += 1
     _report("sublevel containment (2D)", uncovered == 0, f"uncovered={uncovered}/10000")
     assert uncovered == 0
+
+
+# -- fingerprints: the bundled configs' results stay as recorded -----------------
+
+
+def fingerprint(rep) -> dict:
+    """stage_fingerprint with the level's sample counts."""
+    return {
+        **stage_fingerprint(rep),
+        "n_obstacle": rep.level.n_obstacle,
+        "n_boundary": rep.level.n_boundary,
+    }
+
+
+def test_fingerprints(run_2d_by_workers, run_piecewise, run_powertrain, run_3d):
+    """Ledgers (sha256 of every box with F, gamma and flag), counts, M_final,
+    levels and verdicts of the bundled configs equal tests/fingerprints.json.
+    A change that moves a result re-records the file and says why."""
+    reports = {
+        "example_2d/dt": run_2d_by_workers[1][0],
+        "example_piecewise/dt": run_piecewise[0],
+        "example_powertrain/dt": run_powertrain[0],
+        "example_3d/dt": run_3d[0],
+        "example_3d/ct": run_3d[1],
+    }
+    record = json.loads(FINGERPRINTS.read_text())
+    assert sorted(record) == sorted(reports)
+    moved = [
+        f"{name}: {field} is {got.get(field)!r}, recorded {want!r}"
+        for name, rep in reports.items()
+        for got in [fingerprint(rep)]
+        for field, want in record[name].items()
+        if got.get(field) != want
+    ]
+    moved += [
+        f"{name}: {field} is not recorded"
+        for name, rep in reports.items()
+        for field in fingerprint(rep).keys() - record[name].keys()
+    ]
+    assert not moved, "\n".join(moved)

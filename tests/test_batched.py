@@ -33,9 +33,12 @@ from lyapcert.bounds import (
     DerivativeAlongFlowMap,
     SumOfIteratesMap,
     WContext,
+    _W_ERRORS,
     assess_boxes,
     assess_branch,
+    batch_or_each,
     box_radius,
+    by_branch,
     certificate_slack,
     gradient_coefficient,
     interval_values,
@@ -64,7 +67,9 @@ from lyapcert.system import (
     euler_discretize,
     quad_form,
 )
+from lyapcert import bounds as bounds_module, verifier as verifier_module
 from lyapcert.verifier import (
+    _EVAL_ERRORS,
     BoxOutcome,
     DecreaseContext,
     FlowDerivativeContext,
@@ -385,7 +390,7 @@ def scalar_verify(ctx, box):
     except CoverageError:
         return BoxOutcome(False, None, None, "no-region")
     try:
-        assessments = [scalar_assess(ctx.map_for(b), box) for b in branches]
+        assessments = [scalar_assess(ctx.map_for([b]), box) for b in branches]
     except DomainError:
         return BoxOutcome(False, None, None, "domain-error")
     values = [a.value for a in assessments]
@@ -417,7 +422,7 @@ def scalar_lower_bound(wctx, box, subdivide_to=None):
     xi = box_radius(box)
     try:
         for seq in branches:
-            bb = scalar_assess(wctx.map_for(seq), box)
+            bb = scalar_assess(wctx.map_for([seq]), box)
             lb = bb.value - bb.split.a * xi - bb.split.b
             best = lb if best is None else min(best, lb)
     except (LyapcertError, DomainExit):
@@ -425,7 +430,7 @@ def scalar_lower_bound(wctx, box, subdivide_to=None):
     try:
         enclosure = None
         for seq in branches:
-            rng = scalar_range(wctx.map_for(seq), box)
+            rng = scalar_range(wctx.map_for([seq]), box)
             enclosure = rng if enclosure is None else enclosure.hull(rng)
         if enclosure is not None and math.isfinite(enclosure.lo):
             best = enclosure.lo if best is None else max(best, enclosure.lo)
@@ -974,7 +979,7 @@ def test_w_lower_bounds_match_scalar(switched_sys):
     for box, got in zip(boxes, ranges):
         ref = None
         for seq in scalar_ctx_branches(wctx, box):
-            rng = scalar_range(wctx.map_for(seq), box)
+            rng = scalar_range(wctx.map_for([seq]), box)
             ref = rng if ref is None else ref.hull(rng)
         one = wctx.interval_values_over_boxes([box])[0]
         for r in (ref, one):
@@ -1009,6 +1014,201 @@ def test_powertrain_batch_with_domain_errors():
             except DomainError:
                 pass
     assert enumerated
+
+
+# -- one branch map over the (box, branch) rows of a pass ------------------------------
+
+
+def grouped_by_branch(ctx, boxes, errors, *evaluations):
+    """by_branch with one batch per branch sequence, over the boxes that
+    can follow it, each retried box by box through batch_or_each: the
+    reference for the one batch over all (box, branch) rows of a pass."""
+    branches = ctx.boxes_branches(boxes)
+    groups = {}
+    for k, seqs in enumerate(branches):
+        for seq in () if isinstance(seqs, Exception) else seqs:
+            groups.setdefault(seq, []).append(k)
+    found = {}
+    for seq, keys in groups.items():
+        fmap, group = ctx.map_for([seq]), [boxes[k] for k in keys]
+        results = [batch_or_each(lambda bs: ev(fmap, bs), group, errors) for ev in evaluations]
+        found.update(((k, seq), res) for k, *res in zip(keys, *results))
+    return branches, found
+
+
+def same_item(got, ref):
+    """Equal per-row results: the same bits, or errors of one type and message."""
+    if isinstance(ref, Exception):
+        return type(got) is type(ref) and str(got) == str(ref)
+    if isinstance(ref, BranchBounds):
+        return (
+            isinstance(got, BranchBounds)
+            and same(got.value, ref.value)
+            and same(got.split.a, ref.split.a)
+            and same(got.split.b, ref.split.b)
+        )
+    return all(same(a, b) for a, b in zip(got, ref))  # (lo, hi)
+
+
+def assert_same_pass(got, ref):
+    branches, found = got
+    ref_branches, ref_found = ref
+    assert [repr(b) for b in branches] == [repr(b) for b in ref_branches]
+    assert found.keys() == ref_found.keys()
+    for key, results in ref_found.items():
+        assert all(same_item(a, b) for a, b in zip(found[key], results)), key
+
+
+def same_range(got, ref):
+    return (got is None and ref is None) or (
+        got is not None and ref is not None and same(got.lo, ref.lo) and same(got.hi, ref.hi)
+    )
+
+
+def _guard_sys(mode, up, down):
+    """Two regions split at x2 = 0 (x2 >= 0 and x2 < 0) with the given fields."""
+    x2 = parse_expr("x2", 2)
+    regions = (Region((Guard(x2, ">="),), _field(2, *up)), Region((Guard(x2, "<"),), _field(2, *down)))
+    return PiecewiseSystem(2, mode, regions)
+
+
+SWITCHED = (("0.5*x1", "-0.8*x2 - x1^2"), ("0.5*x1 + x1*x2", "-0.8*x2"))
+ROW_SYSTEMS = {
+    "switched": SWITCHED,
+    # the upper region's constant x2 component is a plain float: beside the
+    # lower region's interval payloads it does not stitch, and the rows are
+    # retried alone
+    "constant": (("0.5*x1", "0.25"), SWITCHED[1]),
+    # sqrt(x1^2) has a value over a box around x1 = 0 but no derivative: only
+    # the lower region's rows of such a box fail
+    "domain": (SWITCHED[0], ("0.5*x1 + x1*x2", "-0.8*x2 + 0.1*sqrt(x1^2)")),
+}
+
+
+def _passes(sys_, V, M, boxes):
+    """(context, errors, evaluations, run, equality) of the verifier, the W
+    bounds and the W ranges: `run` gives the results, and by_branch(context,
+    boxes, errors, *evaluations) is the pass it makes."""
+    dctx = DecreaseContext(sys_, V, M, None, 64)
+    wctx = WContext(sys_, V, M, None, 64)
+    return [
+        (dctx, _EVAL_ERRORS, (assess_boxes,), lambda: verify_boxes(dctx, boxes), same_outcome),
+        (
+            wctx,
+            _W_ERRORS,
+            (interval_values, assess_boxes),
+            lambda: wctx.lower_bounds(boxes) + wctx.lower_bounds(boxes, 0.2),
+            same_bound,
+        ),
+        (wctx, _W_ERRORS, (interval_values,), lambda: wctx.interval_values_over_boxes(boxes), same_range),
+    ]
+
+
+def _assert_rows_match_groups(monkeypatch, passes, boxes):
+    """Each pass and its result, by the one row batch and by the per-sequence
+    reference in its place, bit for bit."""
+    for ctx, errors, evaluations, run, same_result_of in passes:
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(bounds_module, "by_branch", grouped_by_branch)
+            m.setattr(verifier_module, "by_branch", grouped_by_branch)
+            ref = run()
+        assert len(got) == len(ref)
+        assert all(same_result_of(a, b) for a, b in zip(got, ref))
+        assert_same_pass(
+            by_branch(ctx, boxes, errors, *evaluations),
+            grouped_by_branch(ctx, boxes, errors, *evaluations),
+        )
+
+
+def _calls(ctx, boxes, errors, evaluation):
+    """by_branch with one evaluation, and the number of rows of each of its calls."""
+    sizes = []
+
+    def counted(fmap, bs):
+        sizes.append(len(bs))
+        return evaluation(fmap, bs)
+
+    return by_branch(ctx, boxes, errors, counted), sizes
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_SYSTEMS))
+def test_branch_rows_match_per_sequence_groups(kind, monkeypatch):
+    sys_ = _guard_sys("discrete", *ROW_SYSTEMS[kind])
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    boxes = _boxes(np.random.default_rng(45), 8)
+    _assert_rows_match_groups(monkeypatch, _passes(sys_, V, 3, boxes), boxes)
+
+    dctx = DecreaseContext(sys_, V, 3, None, 64)
+    (_, found), sizes = _calls(dctx, boxes, _EVAL_ERRORS, assess_boxes)
+    rows = np.array([seq for _, seq in found])
+    # boxes on and across x2 = 0 put both regions into one step's column
+    assert any(len(set(col)) > 1 for col in rows.T)
+    if kind == "switched":
+        assert sizes == [len(found)]  # one evaluation for the whole pass
+        return
+    # the merged batch raised and was retried row by row
+    assert sizes == [len(found)] + [1] * len(found)
+    errs = {key: res[0] for key, res in found.items() if isinstance(res[0], Exception)}
+    if kind == "constant":
+        assert not errs  # no row stitches alone
+        return
+    assert errs and all(1 in seq for _, seq in errs)
+    # a box with a failed row keeps the results of its other rows
+    failed = {k for k, _ in errs}
+    assert any(key[0] in failed and key not in errs for key in found)
+
+
+def test_flow_rows_match_per_sequence_groups(monkeypatch):
+    ct = _guard_sys("continuous", ("-x1 + x2^2", "-2*x2 + x1*x2"), ("-x1", "-2*x2 - x1^2"))
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    ctx = FlowDerivativeContext(ct, euler_discretize(ct, 0.1), V, 3, None, 64)
+    boxes = _boxes(np.random.default_rng(46), 8)
+    run = lambda: verify_boxes(ctx, boxes)  # noqa: E731
+    _assert_rows_match_groups(monkeypatch, [(ctx, _EVAL_ERRORS, (assess_boxes,), run, same_outcome)], boxes)
+    (_, found), sizes = _calls(ctx, boxes, _EVAL_ERRORS, assess_boxes)
+    assert sizes == [len(found)]
+    assert {r for _, (r, _) in found} == {0, 1}  # rows of both flow regions in one batch
+
+
+def test_branch_map_rows(switched_sys):
+    """A tuple builds the one-row map; row k of a matrix is the one-row map
+    of its sequence, evaluated on entry k alone."""
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    ct = euler_ct()
+    dt = euler_discretize(ct, 0.1)
+    rng = np.random.default_rng(47)
+    boxes = _boxes(rng, 6)
+    ivec = interval_batch(boxes)
+    pairs = [
+        (DecreaseMap(switched_sys, V, 3, (1, 0, 0)), DecreaseMap(switched_sys, V, 3, [[1, 0, 0]])),
+        (SumOfIteratesMap(switched_sys, V, 3, (0, 1)), SumOfIteratesMap(switched_sys, V, 3, [[0, 1]])),
+        (SumOfIteratesMap(switched_sys, V, 1, ()), SumOfIteratesMap(switched_sys, V, 1, np.zeros((1, 0)))),
+        (DerivativeAlongFlowMap(ct, dt, V, 2, 0, (0,)), DerivativeAlongFlowMap(ct, dt, V, 2, [0], [[0]])),
+    ]
+    for one, row in pairs:
+        for a, b in zip(assess_boxes(one, boxes), assess_boxes(row, boxes)):
+            assert same_item(a, b)
+        for a, b in zip(interval_values(one, boxes), interval_values(row, boxes)):
+            assert same_item(a, b)
+        h1, h2 = one.interval_hessian(ivec), row.interval_hessian(ivec)
+        assert h1.lo.tobytes() == h2.lo.tobytes() and h1.hi.tobytes() == h2.hi.tobytes()
+        assert same(one.value(boxes[0].center), row.value(boxes[0].center))
+
+    seqs = [tuple(s) for s in rng.integers(0, 2, size=(len(boxes), 3)).tolist()]
+    rows = DecreaseMap(switched_sys, V, 3, seqs)
+    hess = rows.interval_hessian(ivec)
+    for k, (box, seq) in enumerate(zip(boxes, seqs)):
+        alone = DecreaseMap(switched_sys, V, 3, seq)
+        assert same_item(assess_boxes(rows, boxes)[k], assess_boxes(alone, [box])[0])
+        assert same_item(interval_values(rows, boxes)[k], interval_values(alone, [box])[0])
+        h = alone.interval_hessian(box.to_interval_vector())
+        assert hess.lo[k].tobytes() == h.lo[0].tobytes() and hess.hi[k].tobytes() == h.hi[0].tobytes()
+
+    with pytest.raises(ValueError):
+        DecreaseMap(switched_sys, V, 3, [[0, 1]])
+    with pytest.raises(ValueError):
+        DerivativeAlongFlowMap(ct, dt, V, 2, [0, 0], [[0]])
 
 
 # -- batched branch enumeration -------------------------------------------------------

@@ -150,12 +150,15 @@ def test_cli_error_paths(tmp_path, capsys):
         "no_c": {**good, "good": [{k: v for k, v in first.items() if k != "c"}]},
         "bad_horizon": {**good, "M_final": "x"},
         "short_delta": {**good, "good": [{**first, "delta": [0.1]}]},
+        "bare_local": {**good, "local": {"verified": True}},
+        "indefinite_local": {**good, "local": {**good["local"], "P_L": [[-1.0]]}},
+        "text_level": {**good, "level": {**good["level"], "Lbar": "x"}},
     }
     for name, doc in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    no_horizon, a_list, no_c, bad_horizon, short_delta = (
-        str(tmp_path / f"{name}.json") for name in broken
-    )
+    (
+        no_horizon, a_list, no_c, bad_horizon, short_delta, bare_local, indefinite_local, text_level
+    ) = (str(tmp_path / f"{name}.json") for name in broken)
     ct_doc = copy.deepcopy(MINIMAL)
     ct_doc["system"].update(mode="continuous", euler_h=0.1, regions=[{"field": ["-x1"]}])
     ct_cfg = tmp_path / "ct.json"
@@ -170,6 +173,9 @@ def test_cli_error_paths(tmp_path, capsys):
         ["levelset", str(cfg_path), "--with", no_c],
         ["levelset", str(cfg_path), "--with", bad_horizon],
         ["levelset", str(cfg_path), "--with", short_delta],
+        ["levelset", str(cfg_path), "--with", bare_local],
+        ["levelset", str(cfg_path), "--with", indefinite_local],
+        ["export", text_level, "--out", str(tmp_path / "export")],
         ["verify-ct", str(ct_cfg), "--with", a_list, "--out", str(tmp_path / "ct_r.json")],
         ["export", a_list, "--out", str(tmp_path / "export")],
         ["export", no_c, "--out", str(tmp_path / "export")],
