@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ad import Dual, dual_seeds, dual2_seeds, hessian_of
+from .ad import Dual, Dual2, dual_seeds, dual2_seeds, hessian_of
 from .errors import LyapcertError
 from .geometry import HyperRect, interval_batch, refine2
 from .interval import Interval, IntervalArray, require_no_nan
@@ -120,6 +120,17 @@ class _BranchMap:
             out = self._eval(list(ivec))
         return out if isinstance(out, IntervalArray) else ivec[0].constant(out)
 
+    def _dual2_pass(self, ivec, with_range):
+        """The interval Hessian over N boxes (hessian_of); with `with_range`,
+        (enclosure, Hessian), the enclosure being the value part of the same
+        second-order dual pass."""
+        out = self._eval(dual2_seeds(list(ivec)))
+        hess = hessian_of(out, ivec)
+        if not with_range:
+            return hess
+        value = out.value if isinstance(out, Dual2) else out
+        return (value if isinstance(value, IntervalArray) else ivec[0].constant(value)), hess
+
 
 class DecreaseMap(_BranchMap):
     """F(x) = V(G^M(x)) - rho_c V(x) with the region fixed at every step."""
@@ -136,8 +147,8 @@ class DecreaseMap(_BranchMap):
             state = apply_field(self.sys, regions, state)
         return quad_form(self.V.P, state) - self.V.rho_c * quad_form(self.V.P, values)
 
-    def interval_hessian(self, ivec):
-        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
+    def interval_hessian(self, ivec, with_range=False):
+        return self._dual2_pass(ivec, with_range)
 
 
 class SumOfIteratesMap(_BranchMap):
@@ -157,8 +168,8 @@ class SumOfIteratesMap(_BranchMap):
             total = total + quad_form(self.V.P, state)
         return total
 
-    def interval_hessian(self, ivec):
-        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
+    def interval_hessian(self, ivec, with_range=False):
+        return self._dual2_pass(ivec, with_range)
 
 
 class DerivativeAlongFlowMap(_BranchMap):
@@ -196,8 +207,8 @@ class DerivativeAlongFlowMap(_BranchMap):
             acc = term if acc is None else acc + term
         return acc
 
-    def interval_hessian(self, ivec):
-        return hessian_of(self._eval(dual2_seeds(list(ivec))), ivec)
+    def interval_hessian(self, ivec, with_range=False):
+        return self._dual2_pass(ivec, with_range)
 
 
 # -- per-branch assessment ----------------------------------------------------
@@ -221,7 +232,7 @@ def _values_and_grads(fmap, centers: np.ndarray):
     return np.broadcast_to(np.asarray(out.value, dtype=float), (N,)), grads
 
 
-def assess_boxes(fmap, boxes: Sequence[HyperRect]) -> list:
+def assess_boxes(fmap, boxes: Sequence[HyperRect], with_range: bool = False) -> list:
     """assess_branch for many boxes in one batched evaluation of the map.
 
     The values and gradients at the sample points are computed over float
@@ -229,27 +240,42 @@ def assess_boxes(fmap, boxes: Sequence[HyperRect]) -> list:
     box; the coefficients are then reduced box by box.  Entry k is bit for
     bit what assess_branch gives for boxes[k] alone, so a result never
     depends on the other boxes of the batch.  A DomainError anywhere in the
-    batch is raised for the whole batch.
+    batch is raised for the whole batch.  With `with_range`, entry k is
+    (assessment, (lo, hi)): the map's enclosure over the box, the value
+    part of the Hessian's dual pass.
     """
     centers = np.array([box.center for box in boxes])
+    ivec = interval_batch(boxes)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
         values, grads = _values_and_grads(fmap, centers)
-        hess = fmap.interval_hessian(interval_batch(boxes))
+        if with_range:
+            rng, hess = fmap.interval_hessian(ivec, with_range=True)
+        else:
+            hess = fmap.interval_hessian(ivec)
         mags = hess.magnitude()
     require_no_nan(hess.lo, hess.hi)
-    return [
+    out = [
         BranchBounds(
             float(values[k]),
             BoundCoefficients(gradient_coefficient(grads[k]), remainder_bound(mags[k], box.tau)),
         )
         for k, box in enumerate(boxes)
     ]
+    if not with_range:
+        return out
+    require_no_nan(rng.lo, rng.hi)
+    return list(zip(out, zip(rng.lo.tolist(), rng.hi.tolist())))
 
 
 # `method` and `pairing` are accepted and ignored: bench/micro.py passes them
 def assess_branch(fmap, box: HyperRect, method=None, pairing=None) -> BranchBounds:
     """Sample value and variation coefficients of one branch over one box."""
     return assess_boxes(fmap, [box])[0]
+
+
+def assess_ranges(fmap, boxes: Sequence[HyperRect]) -> list:
+    """(assessment, (lo, hi) enclosure) per box, from one batched dual pass."""
+    return assess_boxes(fmap, boxes, with_range=True)
 
 
 def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
@@ -259,10 +285,13 @@ def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
     return list(zip(rng.lo.tolist(), rng.hi.tolist()))
 
 
-def batch_or_each(batch, items: Sequence, errors) -> list:
-    """batch(items), or, when that raises one of `errors`, batch([item])[0]
-    for each item, with the error in place of the result of an item that
-    raises one of them alone as well; [] for no items, without a call.
+def batch_or_each(batch, items: Sequence, errors, group=None) -> list:
+    """batch(items), or, when that raises one of `errors`, the results of
+    smaller batches: one per distinct group(item) in order of first
+    appearance when `group` is given, and halves of any batch that still
+    raises, down to single items.  An item that raises one of `errors`
+    alone has the error in place of its result; [] for no items, without a
+    call.
 
     Results are per item and independent of the batch's makeup, so the
     retry changes which items fail, not the results of the others.
@@ -274,13 +303,28 @@ def batch_or_each(batch, items: Sequence, errors) -> list:
     except errors as exc:
         if len(items) == 1:
             return [exc]
-    out = []
-    for item in items:
-        try:
-            out.append(batch([item])[0])
-        except errors as exc:
-            out.append(exc)
+    parts = {}
+    for i, item in enumerate(items):
+        parts.setdefault(group(item) if group is not None else None, []).append(i)
+    if len(parts) == 1:
+        half = len(items) // 2
+        parts = {0: range(half), 1: range(half, len(items))}
+    out = [None] * len(items)
+    for idx in parts.values():
+        for i, res in zip(idx, batch_or_each(batch, [items[i] for i in idx], errors)):
+            out[i] = res
     return out
+
+
+def on_rows(ctx, boxes: Sequence[HyperRect], rows: Sequence, errors, evaluation) -> list:
+    """evaluation(ctx.map_for(branches), row boxes) over the (box index,
+    branch) pairs `rows` as one batch, through batch_or_each with `errors`,
+    retried per branch sequence."""
+
+    def batch(part):
+        return evaluation(ctx.map_for([seq for _, seq in part]), [boxes[k] for k, _ in part])
+
+    return batch_or_each(batch, rows, errors, group=lambda row: row[1])
 
 
 def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
@@ -289,22 +333,15 @@ def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
 
     The (box, branch) pairs of the pass are the rows of one branch map,
     ctx.map_for(branches), and each evaluation runs once over all of them
-    through batch_or_each with `errors`: a failed result is its error and
-    leaves the box's other results in place.  Rows are independent, so a
-    result does not depend on the rest of the pass.  A box whose branches
-    could not be enumerated has no keys."""
+    (on_rows): a failed result is its error and leaves the box's other
+    results in place.  Rows are independent, so a result does not depend
+    on the rest of the pass.  A box whose branches could not be enumerated
+    has no keys."""
     branches = ctx.boxes_branches(boxes)
     live = [(k, seqs) for k, seqs in enumerate(branches) if not isinstance(seqs, Exception)]
     keys = [(k, seq) for k, seqs in live for seq in seqs]
-
-    def over(evaluation):
-        def batch(rows):
-            fmap = ctx.map_for([seq for _, seq in rows])
-            return evaluation(fmap, [boxes[k] for k, _ in rows])
-
-        return batch_or_each(batch, keys, errors)
-
-    return branches, dict(zip(keys, zip(*map(over, evaluations))))
+    found = [on_rows(ctx, boxes, keys, errors, evaluation) for evaluation in evaluations]
+    return branches, dict(zip(keys, zip(*found)))
 
 
 # -- W as a bounded map --------------------------------------------------------
@@ -352,7 +389,13 @@ def _refinement(box: HyperRect, subdivide_to: Optional[float]):
 
 
 class WContext:
-    """The sum-of-iterates Lyapunov function with per-box rigorous bounds."""
+    """The sum-of-iterates Lyapunov function with per-box rigorous bounds.
+
+    A box's W bound depends only on the box and the resolution, so the
+    context keeps every bound it computes (`lower_bounds`), keyed by the
+    box's exact float bits and `subdivide_to`: one run bounds a box at a
+    resolution once, whichever pass asks first.
+    """
 
     def __init__(
         self,
@@ -368,6 +411,7 @@ class WContext:
         self.M = M
         self.domain = domain
         self.cap = cap
+        self._bounds = {}  # (subdivide_to, box bits) -> bound
 
     def value(self, x) -> float:
         return w_point_value(self.dsys, self.V, self.M, x)
@@ -400,16 +444,27 @@ class WContext:
     def lower_bounds(
         self, boxes: Sequence[HyperRect], subdivide_to: Optional[float] = None
     ) -> list:
-        """lower_bound_over_box for every box, batched over all their pieces."""
-        pieces = [self._pieces(box, subdivide_to) for box in boxes]
-        bounds = self._piece_bounds([p for ps in pieces for p in ps])
-        out = []
-        pos = 0
-        for ps in pieces:
-            own = bounds[pos : pos + len(ps)]
-            pos += len(ps)
-            out.append(None if not own or any(lb is None for lb in own) else min(own))
-        return out
+        """lower_bound_over_box for every box, in one pass (lower_bounds_at)."""
+        return self.lower_bounds_at([(box, subdivide_to) for box in boxes])
+
+    def lower_bounds_at(self, requests: Sequence) -> list:
+        """lower_bound_over_box(box, subdivide_to) for every (box,
+        subdivide_to) request: the bounds already known, and the others
+        batched over all their pieces in one pass."""
+        keys = [(sub, box.center.tobytes() + box.delta.tobytes()) for box, sub in requests]
+        todo = {}
+        for key, request in zip(keys, requests):
+            if key not in self._bounds:
+                todo.setdefault(key, request)
+        if todo:
+            pieces = [self._pieces(box, sub) for box, sub in todo.values()]
+            bounds = self._piece_bounds([p for ps in pieces for p in ps])
+            pos = 0
+            for key, ps in zip(todo, pieces):
+                own = bounds[pos : pos + len(ps)]
+                pos += len(ps)
+                self._bounds[key] = None if not own or any(lb is None for lb in own) else min(own)
+        return [self._bounds[key] for key in keys]
 
     def _pieces(self, box: HyperRect, subdivide_to: Optional[float]) -> list:
         """The box, or its 2-refinement, level by level, down to
@@ -423,19 +478,28 @@ class WContext:
         return pieces
 
     def _piece_bounds(self, boxes: list) -> list:
-        branches, found = by_branch(self, boxes, _W_ERRORS, interval_values, assess_boxes)
+        """Per piece, the larger of the sample bound and the enclosure's
+        lower end, both from one dual pass; a row whose assessment fails
+        takes its enclosure from the plain interval evaluation."""
+        branches, found = by_branch(self, boxes, _W_ERRORS, assess_ranges)
+        failed = [key for key, (res,) in found.items() if isinstance(res, _W_ERRORS)]
+        plain = dict(zip(failed, on_rows(self, boxes, failed, _W_ERRORS, interval_values)))
         out = []
         for k, (box, seqs) in enumerate(zip(boxes, branches)):
             if isinstance(seqs, Exception):
                 out.append(None)
                 continue
-            ranges, assessments = zip(*(found[k, seq] for seq in seqs))
+            results = [found[k, seq][0] for seq in seqs]
             best = None
-            if not any(isinstance(bb, _W_ERRORS) for bb in assessments):
+            if not any(isinstance(res, _W_ERRORS) for res in results):
                 xi = box_radius(box)
-                for bb in assessments:
+                for bb, _ in results:
                     lb = bb.value - bb.split.a * xi - bb.split.b
                     best = lb if best is None else min(best, lb)
+            ranges = [
+                plain[k, seq] if isinstance(res, _W_ERRORS) else res[1]
+                for seq, res in zip(seqs, results)
+            ]
             lo = _hull_lo(ranges)
             if lo is not None and math.isfinite(lo):
                 best = lo if best is None else max(best, lo)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -133,6 +133,7 @@ def estimate_level(
     spacing: float,
     delta_min: float,
     local=None,
+    prefetch: Sequence[HyperRect] = (),
 ) -> LevelEstimate:
     """Assemble the level estimate from obstacle and boundary samples.
 
@@ -140,42 +141,30 @@ def estimate_level(
     tracked: if any skipped box can intersect the resulting sublevel set,
     the estimate refuses to support a verdict.  The local invariant set
     must itself fit inside the sublevel set (checked on sampled boundary
-    points of the local ellipsoid).
+    points of the local ellipsoid).  One pass bounds the obstacles, the
+    boundary samples and the boxes of `prefetch` (those of an invariance
+    audit that follows) at `delta_min`, and the obstacle with the smallest
+    W at its centre at `delta_min / 4`; a second pass bounds the other
+    obstacles the refinement loop can visit (_refined_min).  The context
+    keeps the bounds (WContext.lower_bounds_at).
     """
     if not ledger.good:
         raise ValueError("level estimation needs a non-empty certified region")
 
-    obstacles = obstacle_samples(ledger, delta_min, local)
-    boundary = boundary_samples(S, spacing, ledger)
-
-    skipped = []
-
-    def min_bound(records, refine_to=None):
-        """Two-phase minimum: cheap bounds for all samples in one batch
-        first, refined evaluation only for samples that could still lower
-        the minimum."""
-        boxes = [rec.box() for rec in records]
-        coarse = []
-        for box, lb in zip(boxes, wctx.lower_bounds(boxes, subdivide_to=delta_min)):
-            if lb is None:
-                skipped.append(box)
-            else:
-                coarse.append((lb, box))
-        if refine_to is None:
-            return min((lb for lb, _ in coarse), default=math.inf)
-        coarse.sort(key=lambda t: t[0])
-        best = math.inf
-        for lb, box in coarse:
-            if lb >= best:
-                break  # refined bounds only increase; the minimum is settled
-            tight = level_lower_bound(wctx, box, refine_to)
-            best = min(best, tight if tight is not None else lb)
-        return best
+    obstacles = [rec.box() for rec in obstacle_samples(ledger, delta_min, local)]
+    boundary = [rec.box() for rec in boundary_samples(S, spacing, ledger)]
+    samples = obstacles + boundary
+    refine_to = delta_min / 4.0
+    lowest = _lowest_centre(wctx, obstacles)
+    requests = [(box, delta_min) for box in samples + list(prefetch)]
+    requests += [(lowest, refine_to)] if lowest is not None else []
+    coarse = wctx.lower_bounds_at(requests)[: len(samples)]
+    skipped = [box for box, lb in zip(samples, coarse) if lb is None]
 
     # evaluating obstacle bounds on a sub-resolution grid tames interval
     # dependency; the certified geometry itself is untouched
-    Lbar1 = min_bound(obstacles, refine_to=delta_min / 4.0)
-    Lbar2 = min_bound(boundary)
+    Lbar1 = _refined_min(wctx, obstacles, coarse[: len(obstacles)], refine_to, lowest)
+    Lbar2 = min((lb for lb in coarse[len(obstacles) :] if lb is not None), default=math.inf)
     Lbar = min(Lbar1, Lbar2)
 
     overlaps = False
@@ -198,6 +187,51 @@ def estimate_level(
         skipped_overlaps=overlaps,
         contains_local_set=contains_local,
     )
+
+
+def _lowest_centre(wctx: WContext, boxes: list) -> Optional[HyperRect]:
+    """The box with the smallest W value at its centre (None if no value
+    is known): its refined bound usually sets Lbar1."""
+    values = wctx.values(np.array([box.center for box in boxes])) if boxes else []
+    known = [(w, k) for k, w in enumerate(values) if not isinstance(w, Exception)]
+    return boxes[min(known)[1]] if known else None
+
+
+def _refined_min(
+    wctx: WContext, boxes: list, coarse: list, refine_to: float, lowest: Optional[HyperRect]
+) -> float:
+    """Smallest obstacle bound: the boxes in increasing order of their
+    coarse bound, each bounded again at `refine_to`, until the next coarse
+    bound cannot lower the minimum.  The boxes the loop can visit
+    (_candidates) are refined first in one batch; the loop reads their
+    bounds and refines any other box it visits itself, so the result does
+    not depend on the candidates."""
+    ranked = sorted(
+        ((lb, box) for lb, box in zip(coarse, boxes) if lb is not None), key=lambda t: t[0]
+    )
+    wctx.lower_bounds(_candidates(wctx, ranked, refine_to, lowest), subdivide_to=refine_to)
+    best = math.inf
+    for lb, box in ranked:
+        if lb >= best:
+            break  # refined bounds only increase; the minimum is settled
+        tight = level_lower_bound(wctx, box, refine_to)
+        best = min(best, tight if tight is not None else lb)
+    return best
+
+
+def _candidates(wctx: WContext, ranked: list, refine_to: float, lowest) -> list:
+    """The boxes of `ranked` ((coarse bound, box) pairs in increasing order)
+    up to `lowest`, and those after it whose coarse bound lies below what
+    the loop takes for `lowest`: its refined bound, or its coarse one when
+    it has none.  After the loop visits `lowest` its minimum is at most
+    that value, so these are all the boxes it can visit.  No candidates
+    when `lowest` has no coarse bound."""
+    at = next((i for i, (_, box) in enumerate(ranked) if box is lowest), None)
+    if at is None:
+        return []
+    tight = wctx.lower_bounds([lowest], subdivide_to=refine_to)[0]
+    top = tight if tight is not None else ranked[at][0]
+    return [box for i, (lb, box) in enumerate(ranked) if i <= at or lb < top]
 
 
 def _local_set_inside_level(wctx: WContext, local, Lbar: float, samples: int = 512) -> bool:

@@ -28,6 +28,7 @@ from .system import CONTINUOUS, validate_coverage
 from .verifier import (
     Certificate,
     WDescription,
+    audit_rows,
     check_invariance,
     search_horizon,
     verify_continuous,
@@ -212,7 +213,7 @@ def _local_certificate(cfg: RunConfig, dsys, notes) -> Optional[LocalCertificate
         return None
 
 
-def _assemble_verdict(cert, wctx, local, level, notes, delta_min) -> str:
+def _assemble_verdict(cert, wctx, local, level, notes, delta_min, rows) -> str:
     if cert.verdict == "halted":
         return VERDICT_HALTED
     if local is None or not local.verified:
@@ -220,7 +221,7 @@ def _assemble_verdict(cert, wctx, local, level, notes, delta_min) -> str:
     if level is None or not level.usable:
         notes.append("level estimate unusable; stability claim restricted to A")
         return VERDICT_A_ONLY
-    ok, gaps = check_invariance(cert.ledger, wctx, level.Lbar, local, delta_min)
+    ok, gaps = check_invariance(cert.ledger, wctx, level.Lbar, local, delta_min, rows)
     if not ok:
         notes.append(
             f"{len(gaps)} undecided boxes may intersect the sublevel set"
@@ -231,16 +232,25 @@ def _assemble_verdict(cert, wctx, local, level, notes, delta_min) -> str:
 
 def _finish(cfg: RunConfig, cert, wctx, local, timings: dict, notes: list, t0: float) -> RunReport:
     """The level estimate (unless the search halted), the audit, and the report."""
-    level = None
+    level = rows = None
     if cert.verdict != "halted":
         t = time.perf_counter()
+        if local is not None and local.verified:
+            # the boxes an audit would bound join the level's W-bound pass
+            rows = audit_rows(cert.ledger, local)
         level = estimate_level(
-            wctx, cert.ledger, cfg.S, cfg.boundary_spacing, cfg.delta_min, local
+            wctx,
+            cert.ledger,
+            cfg.S,
+            cfg.boundary_spacing,
+            cfg.delta_min,
+            local,
+            prefetch=[box for _, box in rows or ()],
         )
         timings["level"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min)
+    verdict = _assemble_verdict(cert, wctx, local, level, notes, cfg.delta_min, rows)
     timings["audit"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t0
 

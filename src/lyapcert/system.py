@@ -226,7 +226,8 @@ def apply_field(sys: PiecewiseSystem, regions: np.ndarray, values: Sequence):
 
     if (regions == regions[0]).all():
         return field(int(regions[0]), values)
-    rows = [np.flatnonzero(regions == r) for r in np.unique(regions)]
+    # sorted(set(...)), not np.unique, which imports numpy.ma on first use
+    rows = [np.flatnonzero(regions == r) for r in sorted(set(regions.tolist()))]
     parts = [field(int(regions[sel[0]]), [take_rows(v, sel) for v in values]) for sel in rows]
     return [stitch_rows(comp, rows, len(regions)) for comp in zip(*parts)]
 
@@ -644,7 +645,7 @@ def point_trajectories(sys: PiecewiseSystem, X, steps: int):
         resolved = np.ones(live.size, bool)
         resolved[list(errs)] = False
         nxt = np.zeros_like(state)
-        for r in np.unique(idx[resolved]).tolist():
+        for r in sorted(set(idx[resolved].tolist())):
             rows = live[resolved & (idx == r)]
             vals, errs = _eval_points(sys.regions[r].field.components, state[rows])
             nxt[rows] = vals.T

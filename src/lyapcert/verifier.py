@@ -394,37 +394,45 @@ def _boxes_inside_level(boxes: Sequence[HyperRect], P: np.ndarray, level: float)
     return (hi <= level).tolist()
 
 
+def audit_rows(ledger: SampleLedger, local: Optional[LocalCertificate]) -> list:
+    """(record, box) of each undecided record whose box the interval
+    enclosure does not put inside the local ellipsoid: the boxes the
+    invariance audit bounds, each built once."""
+    rows = [(rec, rec.box()) for rec in ledger.wrong]
+    if local is None or not rows:
+        return rows
+    inside = _boxes_inside_level([box for _, box in rows], local.P_L, local.level_L)
+    return [row for row, ok in zip(rows, inside) if not ok]
+
+
 def check_invariance(
     ledger: SampleLedger,
     wctx: WContext,
     level: float,
     local: Optional[LocalCertificate],
     subdivide_to: Optional[float] = None,
+    rows: Optional[list] = None,
 ) -> tuple:
     """Structural audit that {W <= level} minus the local set is certified.
 
     Every undecided box must either sit inside the local invariant set or
     be excluded from the sublevel set by its own rigorous lower bound on
     W.  The tests run in this order, each as one batched pass over the
-    boxes no earlier test has cleared: inside the local ellipsoid, the
-    W bound at `subdivide_to`, at `subdivide_to / 4`, and the plain
-    interval enclosure.  Returns (ok, gap_records).
+    boxes no earlier test has cleared: inside the local ellipsoid
+    (audit_rows, unless its `rows` are given), the W bound at
+    `subdivide_to`, at `subdivide_to / 4`, and the plain interval
+    enclosure.  Returns (ok, gap_records).
     """
-    open_ = list(ledger.wrong)
-    if local is not None and open_:
-        inside = _boxes_inside_level([r.box() for r in open_], local.P_L, local.level_L)
-        open_ = [rec for rec, ok in zip(open_, inside) if not ok]
+    open_ = audit_rows(ledger, local) if rows is None else rows
     subs = [subdivide_to] if subdivide_to is None else [subdivide_to, subdivide_to / 4.0]
     for sub in subs:
         if open_:
-            bounds = wctx.lower_bounds([r.box() for r in open_], subdivide_to=sub)
+            bounds = wctx.lower_bounds([box for _, box in open_], subdivide_to=sub)
             open_ = [
-                rec for rec, b in zip(open_, bounds) if not (b is not None and b >= level - 1e-12)
+                row for row, b in zip(open_, bounds) if not (b is not None and b >= level - 1e-12)
             ]
     if open_:
-        ranges = wctx.interval_values_over_boxes([r.box() for r in open_])
-        open_ = [
-            rec for rec, rng in zip(open_, ranges) if not (rng is not None and rng.lo > level)
-        ]
+        ranges = wctx.interval_values_over_boxes([box for _, box in open_])
+        open_ = [row for row, rng in zip(open_, ranges) if not (rng is not None and rng.lo > level)]
     ok = not open_ and local is not None
-    return ok, open_
+    return ok, [rec for rec, _ in open_]

@@ -76,3 +76,26 @@ def ref_boundary_samples(S, spacing, ledger) -> list:
         if np.any(np.all(gap <= 1e-12, axis=1)):
             kept.append(rec)
     return kept
+
+
+def ref_lbar1(wctx, records, delta_min):
+    """Lbar1 by the loop estimate_level ran before W bounds were kept per
+    run: one coarse pass over the obstacles, then each obstacle in
+    increasing order of its coarse bound bounded again on its own at
+    delta_min / 4, until the next coarse bound cannot lower the minimum.
+    Returns (Lbar1, the boxes the loop bounded again)."""
+    boxes = [rec.box() for rec in records]
+    coarse = []
+    for box, lb in zip(boxes, wctx.lower_bounds(boxes, subdivide_to=delta_min)):
+        if lb is not None:
+            coarse.append((lb, box))
+    coarse.sort(key=lambda t: t[0])
+    best = math.inf
+    visited = []
+    for lb, box in coarse:
+        if lb >= best:
+            break
+        visited.append(box)
+        tight = wctx.lower_bound_over_box(box, delta_min / 4.0)
+        best = min(best, tight if tight is not None else lb)
+    return best, visited

@@ -27,7 +27,7 @@ from lyapcert.expr import (
     parse_expr,
 )
 from lyapcert.localyap import max_level_in_box, solve_discrete_lyapunov
-from lyapcert.pipeline import run_verify_ct, run_verify_dt
+from lyapcert.pipeline import recompute_level, run_verify_ct, run_verify_dt
 from lyapcert.system import (
     PiecewiseSystem,
     Region,
@@ -515,3 +515,16 @@ def test_fingerprints(run_2d_by_workers, run_piecewise, run_powertrain, run_3d):
         for field in fingerprint(rep).keys() - record[name].keys()
     ]
     assert not moved, "\n".join(moved)
+
+
+def test_levelset_recomputes_the_stored_level(run_2d_by_workers, run_piecewise):
+    """`levelset` (pipeline.recompute_level) on a stored report gives the
+    report's own level, though the full run also bounded the audit's boxes
+    in its level pass and the levelset path does not."""
+    for report in (run_2d_by_workers[1][0], run_piecewise[0]):
+        doc = json.loads(json.dumps(report.to_dict()))
+        cfg = RunConfig.from_dict(doc["config"])
+        est = recompute_level(cfg, doc)
+        got = [est.Lbar1, est.Lbar2, est.Lbar, est.n_obstacle, est.n_boundary]
+        want = [doc["level"][k] for k in ("Lbar1", "Lbar2", "Lbar", "n_obstacle", "n_boundary")]
+        assert got == want

@@ -36,6 +36,7 @@ from lyapcert.bounds import (
     _W_ERRORS,
     assess_boxes,
     assess_branch,
+    assess_ranges,
     batch_or_each,
     box_radius,
     by_branch,
@@ -1047,6 +1048,8 @@ def same_item(got, ref):
             and same(got.split.a, ref.split.a)
             and same(got.split.b, ref.split.b)
         )
+    if isinstance(ref[0], BranchBounds):  # (assessment, (lo, hi))
+        return same_item(got[0], ref[0]) and same_item(got[1], ref[1])
     return all(same(a, b) for a, b in zip(got, ref))  # (lo, hi)
 
 
@@ -1088,19 +1091,26 @@ ROW_SYSTEMS = {
 def _passes(sys_, V, M, boxes):
     """(context, errors, evaluations, run, equality) of the verifier, the W
     bounds and the W ranges: `run` gives the results, and by_branch(context,
-    boxes, errors, *evaluations) is the pass it makes."""
+    boxes, errors, *evaluations) is the pass it makes.  Each run of the W
+    bounds has a context of its own, so that it reads no bound another run
+    left in the context's memo."""
     dctx = DecreaseContext(sys_, V, M, None, 64)
     wctx = WContext(sys_, V, M, None, 64)
+
+    def w_bounds():
+        fresh = WContext(sys_, V, M, None, 64)
+        return fresh.lower_bounds(boxes) + fresh.lower_bounds(boxes, 0.2)
+
     return [
         (dctx, _EVAL_ERRORS, (assess_boxes,), lambda: verify_boxes(dctx, boxes), same_outcome),
+        (wctx, _W_ERRORS, (assess_ranges,), w_bounds, same_bound),
         (
             wctx,
             _W_ERRORS,
-            (interval_values, assess_boxes),
-            lambda: wctx.lower_bounds(boxes) + wctx.lower_bounds(boxes, 0.2),
-            same_bound,
+            (interval_values,),
+            lambda: WContext(sys_, V, M, None, 64).interval_values_over_boxes(boxes),
+            same_range,
         ),
-        (wctx, _W_ERRORS, (interval_values,), lambda: wctx.interval_values_over_boxes(boxes), same_range),
     ]
 
 
@@ -1122,14 +1132,29 @@ def _assert_rows_match_groups(monkeypatch, passes, boxes):
 
 
 def _calls(ctx, boxes, errors, evaluation):
-    """by_branch with one evaluation, and the number of rows of each of its calls."""
-    sizes = []
+    """by_branch with one evaluation, the rows, as (box index, branch) keys,
+    of each of its calls, and the indices of the calls that raised."""
+    calls, maps, raised = [], [], set()
+    index = {id(box): k for k, box in enumerate(boxes)}
+    map_for = ctx.map_for
+
+    def recording(branches):
+        maps.append(list(branches))
+        return map_for(branches)
 
     def counted(fmap, bs):
-        sizes.append(len(bs))
-        return evaluation(fmap, bs)
+        calls.append([(index[id(b)], seq) for b, seq in zip(bs, maps[-1])])
+        try:
+            return evaluation(fmap, bs)
+        except errors:
+            raised.add(len(calls) - 1)
+            raise
 
-    return by_branch(ctx, boxes, errors, counted), sizes
+    ctx.map_for = recording
+    try:
+        return by_branch(ctx, boxes, errors, counted), calls, raised
+    finally:
+        del ctx.map_for
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_SYSTEMS))
@@ -1140,20 +1165,34 @@ def test_branch_rows_match_per_sequence_groups(kind, monkeypatch):
     _assert_rows_match_groups(monkeypatch, _passes(sys_, V, 3, boxes), boxes)
 
     dctx = DecreaseContext(sys_, V, 3, None, 64)
-    (_, found), sizes = _calls(dctx, boxes, _EVAL_ERRORS, assess_boxes)
+    (_, found), calls, raised = _calls(dctx, boxes, _EVAL_ERRORS, assess_boxes)
     rows = np.array([seq for _, seq in found])
     # boxes on and across x2 = 0 put both regions into one step's column
     assert any(len(set(col)) > 1 for col in rows.T)
+    assert calls[0] == list(found)  # one evaluation for the whole pass
     if kind == "switched":
-        assert sizes == [len(found)]  # one evaluation for the whole pass
+        assert len(calls) == 1
         return
-    # the merged batch raised and was retried row by row
-    assert sizes == [len(found)] + [1] * len(found)
+    # the merged batch raised; each sequence's rows were retried as one
+    # batch, in order of first appearance, and a batch that still raised
+    # was halved down to the rows that raise alone
+    groups = {}
+    for key in found:
+        groups.setdefault(key[1], []).append(key)
+    whole = [call for call in calls[1:] if call in groups.values()]
+    assert whole == list(groups.values())
+    assert all(len({seq for _, seq in call}) == 1 for call in calls[1:])
     errs = {key: res[0] for key, res in found.items() if isinstance(res[0], Exception)}
     if kind == "constant":
-        assert not errs  # no row stitches alone
+        assert not errs  # no sequence's batch needs a stitch
+        assert calls[1:] == whole
         return
     assert errs and all(1 in seq for _, seq in errs)
+    for i, call in enumerate(calls[1:], 1):
+        parents = [p for j, p in enumerate(calls[:i]) if j in raised]
+        halves = [(p[: len(p) // 2], p[len(p) // 2 :]) for p in parents]
+        assert call in whole or any(call in pair for pair in halves)
+    assert all([key] in calls for key in errs)  # each failing row ends alone
     # a box with a failed row keeps the results of its other rows
     failed = {k for k, _ in errs}
     assert any(key[0] in failed and key not in errs for key in found)
@@ -1166,8 +1205,8 @@ def test_flow_rows_match_per_sequence_groups(monkeypatch):
     boxes = _boxes(np.random.default_rng(46), 8)
     run = lambda: verify_boxes(ctx, boxes)  # noqa: E731
     _assert_rows_match_groups(monkeypatch, [(ctx, _EVAL_ERRORS, (assess_boxes,), run, same_outcome)], boxes)
-    (_, found), sizes = _calls(ctx, boxes, _EVAL_ERRORS, assess_boxes)
-    assert sizes == [len(found)]
+    (_, found), calls, _ = _calls(ctx, boxes, _EVAL_ERRORS, assess_boxes)
+    assert calls == [list(found)]
     assert {r for _, (r, _) in found} == {0, 1}  # rows of both flow regions in one batch
 
 
@@ -1610,3 +1649,37 @@ def test_verify_local_matches_box_loop(switched_sys):
         assert cert.verified is not escapes
         note = "undecided region near the origin escapes the level set"
         assert cert.note == (note if escapes else None)
+
+
+def test_memoised_w_bounds_match_a_fresh_context(switched_sys, monkeypatch):
+    """A bound the context kept equals a fresh context's bound for the same
+    box in another batch, at both resolutions of the level and the audit,
+    and reading it makes no pass."""
+    V = CandidateV(np.diag([1.0, 2.0]), 0.999)
+    boxes = _boxes(np.random.default_rng(47), 6)
+    others = _boxes(np.random.default_rng(48), 3)[:3]  # not the fixed boxes of _boxes
+    passes = []
+    original = bounds_module.by_branch
+
+    def counted(ctx, bs, *args):
+        passes.append(len(bs))
+        return original(ctx, bs, *args)
+
+    monkeypatch.setattr(bounds_module, "by_branch", counted)
+    for sub in (0.1, 0.1 / 4.0):
+        wctx = WContext(switched_sys, V, 3, None, 64)
+        first = wctx.lower_bounds(boxes, sub)
+        assert len(passes) == 1
+        # the same boxes as new objects, reversed: all read from the memo
+        copies = [HyperRect(b.center, b.delta) for b in reversed(boxes)]
+        assert all(same_bound(a, b) for a, b in zip(wctx.lower_bounds(copies, sub), first[::-1]))
+        assert all(same_bound(wctx.lower_bound_over_box(b, sub), lb) for b, lb in zip(boxes, first))
+        assert len(passes) == 1
+        # a batch with new boxes bounds only those
+        wctx.lower_bounds(others + boxes[:2], sub)
+        assert passes[-1] == sum(len(wctx._pieces(b, sub)) for b in others)
+        for k, box in enumerate(boxes):
+            fresh = WContext(switched_sys, V, 3, None, 64).lower_bounds([others[k % 3], box], sub)[1]
+            assert same_bound(first[k], fresh)
+            assert same_bound(first[k], scalar_lower_bound(wctx, box, sub))
+        passes.clear()

@@ -291,7 +291,7 @@ def test_w_bound_refuses_unbounded_refinement():
     assert wctx.lower_bounds([good], subdivide_to=0.1 / 2**13) == [None]
 
 
-def test_batch_or_each_retries_item_by_item():
+def test_batch_or_each_bisects():
     calls = []
 
     def batch(items):
@@ -305,6 +305,17 @@ def test_batch_or_each_retries_item_by_item():
     assert batch_or_each(batch, [1, 5], (ValueError,)) == [10, 50]
     out = batch_or_each(batch, [1, 3, 5], (ValueError,))
     assert out[0] == 10 and isinstance(out[1], ValueError) and out[2] == 50
-    assert calls == [[1, 5], [1, 3, 5], [1], [3], [5]]
+    # a batch that raises is halved until the failing item stands alone
+    assert calls == [[1, 5], [1, 3, 5], [1], [3, 5], [3], [5]]
+    calls.clear()
+    out = batch_or_each(batch, list(range(1, 9)), (ValueError,))
+    assert out[:2] + out[3:] == [10, 20, 40, 50, 60, 70, 80] and isinstance(out[2], ValueError)
+    assert calls == [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4], [1, 2], [3, 4], [3], [4], [5, 6, 7, 8]]
+    # with a group, one batch per group in order of first appearance, then halves
+    calls.clear()
+    out = batch_or_each(batch, [1, 2, 3, 4, 5, 7], (ValueError,), group=lambda i: i % 2)
+    assert [o for o in out if not isinstance(o, ValueError)] == [10, 20, 40, 50, 70]
+    assert isinstance(out[2], ValueError)
+    assert calls == [[1, 2, 3, 4, 5, 7], [1, 3, 5, 7], [1, 3], [1], [3], [5, 7], [2, 4]]
     with pytest.raises(ValueError):
         batch_or_each(batch, [3], (OverflowError,))

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,11 +14,20 @@ from lyapcert.levelset import (
     level_lower_bound,
     obstacle_samples,
 )
+from lyapcert.config import RunConfig
 from lyapcert.localyap import LocalCertificate
-from lyapcert.verifier import DecreaseContext, VerifyConfig, build_certified_region
+from lyapcert.pipeline import run_verify_dt
+from lyapcert.verifier import (
+    DecreaseContext,
+    VerifyConfig,
+    audit_rows,
+    build_certified_region,
+    check_invariance,
+)
 
+from conftest import CONFIG_DIR
 from oracles import sample_box, w_batch
-from ref_levelset import ref_boundary_samples, ref_obstacle_samples
+from ref_levelset import ref_boundary_samples, ref_lbar1, ref_obstacle_samples
 
 
 def _record(center, half, F=None, gamma=None, flag=None):
@@ -289,3 +300,92 @@ def test_empty_obstacles_gives_inf_sentinel(contract1d_sys):
     # the only undecided boxes hide inside the local set
     assert math.isinf(est.Lbar1)
     assert est.Lbar == est.Lbar2 == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def poly2d_run():
+    """example_2d on a smaller S at delta_min 0.04: three obstacles are
+    bounded again at delta_min / 4 before the minimum is settled."""
+    doc = json.loads((CONFIG_DIR / "example_2d.json").read_text())
+    doc["search"].update(
+        S={"lo": [-0.7, -0.9], "hi": [0.7, 0.9]},
+        delta_min=0.04,
+        N1={"lo": [-0.2, -0.2], "hi": [0.2, 0.2]},
+        boundary_spacing=0.02,
+    )
+    cfg = RunConfig.from_dict(doc)
+    report = run_verify_dt(cfg)
+    return cfg, report
+
+
+def _fresh_wctx(cfg, report):
+    return WContext(cfg.discrete_system(), cfg.candidate(), report.M_final, None, 64)
+
+
+@pytest.mark.parametrize("candidates", ["batched", "none"])
+def test_lbar1_matches_per_box_loop(poly2d_run, candidates, monkeypatch):
+    """Lbar1 and the obstacles bounded again equal those of the per-box
+    loop, whether the loop reads bounds refined in one batch or, with no
+    candidates, refines each box it visits itself."""
+    cfg, report = poly2d_run
+    ledger, local = report.certificate.ledger, report.local
+    obstacles = obstacle_samples(ledger, cfg.delta_min, local)
+    ref, visited = ref_lbar1(_fresh_wctx(cfg, report), obstacles, cfg.delta_min)
+    assert len(visited) >= 2
+
+    calls = []
+    original = levelset.level_lower_bound
+
+    def counted(wctx, box, subdivide_to=None):
+        calls.append((box.center.tobytes(), subdivide_to))
+        return original(wctx, box, subdivide_to)
+
+    monkeypatch.setattr(levelset, "level_lower_bound", counted)
+    if candidates == "none":
+        # nothing is refined ahead of the loop, which refines each box itself
+        monkeypatch.setattr(levelset, "_lowest_centre", lambda wctx, boxes: None)
+        monkeypatch.setattr(levelset, "_candidates", lambda *args: [])
+    est = estimate_level(
+        _fresh_wctx(cfg, report), ledger, cfg.S, cfg.boundary_spacing, cfg.delta_min, local
+    )
+    assert struct.pack("<d", est.Lbar1) == struct.pack("<d", ref)
+    assert est.Lbar1 == report.level.Lbar1
+    # one call per obstacle the loop visits, in the loop's order
+    assert calls == [(box.center.tobytes(), cfg.delta_min / 4.0) for box in visited]
+
+
+def test_level_and_audit_share_two_w_passes(poly2d_run, monkeypatch):
+    """The level makes one W-bound pass at delta_min over obstacles,
+    boundary samples and the audit's boxes, and one at delta_min / 4 over
+    its candidates; the audit that follows reads its bounds."""
+    from lyapcert import bounds as bounds_module
+
+    cfg, report = poly2d_run
+    ledger, local = report.certificate.ledger, report.local
+    passes = []
+    original = bounds_module.by_branch
+
+    def counted(ctx, boxes, *args):
+        passes.append(len(boxes))
+        return original(ctx, boxes, *args)
+
+    monkeypatch.setattr(bounds_module, "by_branch", counted)
+    wctx = _fresh_wctx(cfg, report)
+    rows = audit_rows(ledger, local)
+    est = estimate_level(
+        wctx,
+        ledger,
+        cfg.S,
+        cfg.boundary_spacing,
+        cfg.delta_min,
+        local,
+        prefetch=[box for _, box in rows],
+    )
+    assert len(passes) == 2
+    ok, gaps = check_invariance(ledger, wctx, est.Lbar, local, cfg.delta_min, rows)
+    assert len(passes) == 2 and ok and not gaps
+    assert (est.Lbar1, est.Lbar2, est.Lbar) == (
+        report.level.Lbar1,
+        report.level.Lbar2,
+        report.level.Lbar,
+    )
