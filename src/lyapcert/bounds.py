@@ -26,7 +26,7 @@ import numpy as np
 
 from .ad import Dual, Dual2, dual_seeds, dual2_seeds, hessian_of
 from .errors import LyapcertError
-from .geometry import HyperRect, interval_batch, refine2
+from .geometry import BoxArray, HyperRect, interval_batch
 from .interval import Interval, IntervalArray, require_no_nan
 from .system import (
     CandidateV,
@@ -60,25 +60,32 @@ def certificate_slack(coeffs: Sequence[BoundCoefficients], eps: float, xi: float
     return a * xi + b + eps
 
 
-def box_radius(box: HyperRect) -> float:
-    """Largest ||x - x_s||_inf over the box."""
-    return box.max_abs_delta
-
-
-def gradient_coefficient(grad: np.ndarray) -> float:
+def gradient_coefficient(grad) -> float:
     """||grad||_1, the dual norm of the box distance."""
-    return float(np.sum(np.abs(grad)))
+    return float(gradient_coefficients(np.asarray(grad, dtype=float)[None])[0])
 
 
-def remainder_bound(hess, tau: np.ndarray) -> float:
-    """1/2 tau' |H| tau with componentwise magnitude upper bounds.
+def remainder_bound(hess, tau) -> float:
+    """1/2 tau' |H| tau with componentwise magnitude upper bounds; `hess` is
+    the float matrix of the Hessian enclosure's magnitudes."""
+    hess, tau = np.asarray(hess, dtype=float), np.asarray(tau, dtype=float)
+    return float(remainder_bounds(hess[None], tau[None])[0])
 
-    `hess` is the float matrix of the Hessian enclosure's magnitudes.  The
-    matrix products are taken over a C-ordered copy, since numpy sums them
-    in an order that follows the memory layout.
-    """
+
+def gradient_coefficients(grads) -> np.ndarray:
+    """gradient_coefficient of every row of `grads`, shape (N, n)."""
+    return np.sum(np.ascontiguousarray(np.abs(grads)), axis=1)
+
+
+def remainder_bounds(hess, tau) -> np.ndarray:
+    """remainder_bound of every row: Hessian magnitudes of shape (N, n, n)
+    and tau of shape (N, n).  The products are taken over C-ordered
+    copies, since numpy sums them in an order that follows the memory
+    layout; a row is a (1, n) @ (n, n) product and then a dot product,
+    whatever the other rows."""
     H = np.ascontiguousarray(hess, dtype=float)
-    return float(0.5 * tau @ H @ tau)
+    tau = np.ascontiguousarray(tau, dtype=float)
+    return ((0.5 * tau)[:, None, :] @ H @ tau[:, :, None]).reshape(len(tau))
 
 
 # -- branch-restricted scalar maps ------------------------------------------
@@ -232,34 +239,35 @@ def _values_and_grads(fmap, centers: np.ndarray):
     return np.broadcast_to(np.asarray(out.value, dtype=float), (N,)), grads
 
 
-def assess_boxes(fmap, boxes: Sequence[HyperRect], with_range: bool = False) -> list:
-    """assess_branch for many boxes in one batched evaluation of the map.
+def assess_boxes(fmap, boxes, with_range: bool = False) -> list:
+    """assess_branch for many boxes (a BoxArray, or HyperRects) in one
+    batched evaluation of the map.
 
     The values and gradients at the sample points are computed over float
     arrays and the Hessian enclosures over an IntervalArray, one entry per
-    box; the coefficients are then reduced box by box.  Entry k is bit for
+    box; the coefficients of all boxes are reduced at once, each row with
+    the operations of gradient_coefficient and remainder_bound.  Entry k is bit for
     bit what assess_branch gives for boxes[k] alone, so a result never
     depends on the other boxes of the batch.  A DomainError anywhere in the
     batch is raised for the whole batch.  With `with_range`, entry k is
     (assessment, (lo, hi)): the map's enclosure over the box, the value
     part of the Hessian's dual pass.
     """
-    centers = np.array([box.center for box in boxes])
+    boxes = BoxArray.of(boxes)
     ivec = interval_batch(boxes)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
-        values, grads = _values_and_grads(fmap, centers)
+        values, grads = _values_and_grads(fmap, boxes.centers)
         if with_range:
             rng, hess = fmap.interval_hessian(ivec, with_range=True)
         else:
             hess = fmap.interval_hessian(ivec)
         mags = hess.magnitude()
-    require_no_nan(hess.lo, hess.hi)
+        require_no_nan(hess.lo, hess.hi)
+        a = gradient_coefficients(grads)
+        b = remainder_bounds(mags, boxes.tau)
     out = [
-        BranchBounds(
-            float(values[k]),
-            BoundCoefficients(gradient_coefficient(grads[k]), remainder_bound(mags[k], box.tau)),
-        )
-        for k, box in enumerate(boxes)
+        BranchBounds(value, BoundCoefficients(ak, bk))
+        for value, ak, bk in zip(values.tolist(), a.tolist(), b.tolist())
     ]
     if not with_range:
         return out
@@ -273,12 +281,12 @@ def assess_branch(fmap, box: HyperRect, method=None, pairing=None) -> BranchBoun
     return assess_boxes(fmap, [box])[0]
 
 
-def assess_ranges(fmap, boxes: Sequence[HyperRect]) -> list:
+def assess_ranges(fmap, boxes) -> list:
     """(assessment, (lo, hi) enclosure) per box, from one batched dual pass."""
     return assess_boxes(fmap, boxes, with_range=True)
 
 
-def interval_values(fmap, boxes: Sequence[HyperRect]) -> list:
+def interval_values(fmap, boxes) -> list:
     """(lo, hi) of the map's interval enclosure over each box, in one batch."""
     rng = fmap.interval_value(interval_batch(boxes))
     require_no_nan(rng.lo, rng.hi)
@@ -316,20 +324,21 @@ def batch_or_each(batch, items: Sequence, errors, group=None) -> list:
     return out
 
 
-def on_rows(ctx, boxes: Sequence[HyperRect], rows: Sequence, errors, evaluation) -> list:
+def on_rows(ctx, boxes: BoxArray, rows: Sequence, errors, evaluation) -> list:
     """evaluation(ctx.map_for(branches), row boxes) over the (box index,
     branch) pairs `rows` as one batch, through batch_or_each with `errors`,
     retried per branch sequence."""
 
     def batch(part):
-        return evaluation(ctx.map_for([seq for _, seq in part]), [boxes[k] for k, _ in part])
+        return evaluation(ctx.map_for([seq for _, seq in part]), boxes.take([k for k, _ in part]))
 
     return batch_or_each(batch, rows, errors, group=lambda row: row[1])
 
 
-def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
+def by_branch(ctx, boxes, errors, *evaluations):
     """ctx.boxes_branches(boxes), and for each (box index, branch) one
-    result per evaluation, evaluation(branch map, boxes).
+    result per evaluation, evaluation(branch map, boxes), for boxes a
+    BoxArray or HyperRects.
 
     The (box, branch) pairs of the pass are the rows of one branch map,
     ctx.map_for(branches), and each evaluation runs once over all of them
@@ -337,6 +346,7 @@ def by_branch(ctx, boxes: Sequence[HyperRect], errors, *evaluations):
     results in place.  Rows are independent, so a result does not depend
     on the rest of the pass.  A box whose branches could not be enumerated
     has no keys."""
+    boxes = BoxArray.of(boxes)
     branches = ctx.boxes_branches(boxes)
     live = [(k, seqs) for k, seqs in enumerate(branches) if not isinstance(seqs, Exception)]
     keys = [(k, seq) for k, seqs in live for seq in seqs]
@@ -374,15 +384,15 @@ _W_ERRORS = (LyapcertError, DomainExit, OverflowError)
 _MAX_PIECES = 4096
 
 
-def _refinement(box: HyperRect, subdivide_to: Optional[float]):
-    """(levels, pieces) of the 2-refinement of the box until no offset
-    exceeds `subdivide_to`: each level halves every offset and doubles the
-    pieces once per axis it splits.  Counting stops at the first count
-    above _MAX_PIECES."""
+def _refinement(radius: float, axes: int, subdivide_to: Optional[float]):
+    """(levels, pieces) of the 2-refinement of a box of radius max|delta|
+    with `axes` axes of positive extent until no offset exceeds
+    `subdivide_to`: each level halves every offset and doubles the pieces
+    once per axis it splits.  Counting stops at the first count above
+    _MAX_PIECES."""
     levels, count = 0, 1
-    if subdivide_to is not None and box.max_abs_delta > subdivide_to * (1 + 1e-9):
-        axes = int(np.count_nonzero(box.hi_offsets > box.lo_offsets))
-        reach = box.max_abs_delta
+    if subdivide_to is not None and radius > subdivide_to * (1 + 1e-9):
+        reach = radius
         while axes and reach > subdivide_to * (1 + 1e-9) and count <= _MAX_PIECES:
             levels, count, reach = levels + 1, count * 2**axes, 0.5 * reach
     return levels, count
@@ -420,7 +430,7 @@ class WContext:
         """W at every row of X, or the error of that row (w_point_values)."""
         return w_point_values(self.dsys, self.V, self.M, X)
 
-    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+    def boxes_branches(self, boxes: BoxArray) -> list:
         """The branch sequences of the M - 1 steps between W's iterates."""
         return enumerate_boxes_branches(self.dsys, boxes, self.M - 1, self.domain, self.cap)
 
@@ -441,58 +451,67 @@ class WContext:
         """
         return self.lower_bounds([box], subdivide_to)[0]
 
-    def lower_bounds(
-        self, boxes: Sequence[HyperRect], subdivide_to: Optional[float] = None
-    ) -> list:
-        """lower_bound_over_box for every box, in one pass (lower_bounds_at)."""
-        return self.lower_bounds_at([(box, subdivide_to) for box in boxes])
+    def lower_bounds(self, boxes, subdivide_to: Optional[float] = None) -> list:
+        """lower_bound_over_box for every box (a BoxArray, or HyperRects),
+        in one pass (lower_bounds_at)."""
+        boxes = BoxArray.of(boxes)
+        return self.lower_bounds_at(boxes, [subdivide_to] * len(boxes))
 
-    def lower_bounds_at(self, requests: Sequence) -> list:
-        """lower_bound_over_box(box, subdivide_to) for every (box,
-        subdivide_to) request: the bounds already known, and the others
-        batched over all their pieces in one pass."""
-        keys = [(sub, box.center.tobytes() + box.delta.tobytes()) for box, sub in requests]
+    def lower_bounds_at(self, boxes: BoxArray, subs: Sequence) -> list:
+        """lower_bound_over_box(boxes[k], subs[k]) for every box: the
+        bounds already known, and the others batched over all their pieces
+        in one pass."""
+        keys = list(zip(subs, boxes.keys()))
         todo = {}
-        for key, request in zip(keys, requests):
+        for k, key in enumerate(keys):
             if key not in self._bounds:
-                todo.setdefault(key, request)
+                todo.setdefault(key, k)
         if todo:
-            pieces = [self._pieces(box, sub) for box, sub in todo.values()]
-            bounds = self._piece_bounds([p for ps in pieces for p in ps])
-            pos = 0
-            for key, ps in zip(todo, pieces):
-                own = bounds[pos : pos + len(ps)]
-                pos += len(ps)
+            rows = list(todo.values())
+            pieces, owner = self._pieces(boxes.take(rows), [subs[k] for k in rows])
+            bounds = self._piece_bounds(pieces)
+            ends = np.cumsum(np.bincount(owner, minlength=len(rows))).tolist()
+            for key, start, end in zip(todo, [0] + ends, ends):
+                own = bounds[start:end]
                 self._bounds[key] = None if not own or any(lb is None for lb in own) else min(own)
         return [self._bounds[key] for key in keys]
 
-    def _pieces(self, box: HyperRect, subdivide_to: Optional[float]) -> list:
-        """The box, or its 2-refinement, level by level, down to
-        `subdivide_to`; no pieces when that takes more than _MAX_PIECES."""
-        levels, count = _refinement(box, subdivide_to)
-        if count > _MAX_PIECES:
-            return []
-        pieces = [box]
-        for _ in range(levels):
-            pieces = [child for piece in pieces for child in refine2(piece)]
-        return pieces
+    def _pieces(self, boxes: BoxArray, subs: Sequence):
+        """The pieces of every box: the box, or its 2-refinement, level by
+        level, down to its `subdivide_to`; none when that takes more than
+        _MAX_PIECES.  Returns the pieces, box by box, and the index of the
+        box of each piece."""
+        axes = np.count_nonzero(boxes.hi_offsets > boxes.lo_offsets, axis=1).tolist()
+        plan = [_refinement(*row) for row in zip(boxes.radius.tolist(), axes, subs)]
+        levels = np.array([lv if count <= _MAX_PIECES else -1 for lv, count in plan], dtype=int)
+        owner = np.flatnonzero(levels >= 0)
+        pieces = boxes.take(owner)
+        for level in range(levels.max(initial=0)):
+            split = levels[owner] > level
+            parts = pieces.take(split)
+            fan = 2 ** np.count_nonzero(parts.hi_offsets > parts.lo_offsets, axis=1)
+            owner = np.concatenate([owner[~split], np.repeat(owner[split], fan)])
+            pieces = BoxArray.concat([pieces.take(~split), parts.refine()])
+        order = np.argsort(owner, kind="stable")
+        return pieces.take(order), owner[order]
 
-    def _piece_bounds(self, boxes: list) -> list:
+    def _piece_bounds(self, boxes: BoxArray) -> list:
         """Per piece, the larger of the sample bound and the enclosure's
         lower end, both from one dual pass; a row whose assessment fails
         takes its enclosure from the plain interval evaluation."""
         branches, found = by_branch(self, boxes, _W_ERRORS, assess_ranges)
         failed = [key for key, (res,) in found.items() if isinstance(res, _W_ERRORS)]
         plain = dict(zip(failed, on_rows(self, boxes, failed, _W_ERRORS, interval_values)))
+        radius = boxes.radius.tolist()
         out = []
-        for k, (box, seqs) in enumerate(zip(boxes, branches)):
+        for k, seqs in enumerate(branches):
             if isinstance(seqs, Exception):
                 out.append(None)
                 continue
             results = [found[k, seq][0] for seq in seqs]
             best = None
             if not any(isinstance(res, _W_ERRORS) for res in results):
-                xi = box_radius(box)
+                xi = radius[k]
                 for bb, _ in results:
                     lb = bb.value - bb.split.a * xi - bb.split.b
                     best = lb if best is None else min(best, lb)
@@ -506,8 +525,8 @@ class WContext:
             out.append(best)
         return out
 
-    def interval_values_over_boxes(self, boxes: Sequence[HyperRect]) -> list:
-        """Per box, the hull of the interval images over all feasible
+    def interval_values_over_boxes(self, boxes) -> list:
+        """Per box (a BoxArray, or HyperRects), the hull of the interval images over all feasible
         branches (None on failure), in one batch."""
         branches, found = by_branch(self, boxes, _W_ERRORS, interval_values)
         out = []

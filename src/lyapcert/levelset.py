@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import WContext
-from .geometry import HyperRect, SampleLedger, SampleRecord, tau_of
+from .geometry import BoxArray, HyperRect, SampleLedger, SampleRecord, tau_of
 
 
 @dataclass
@@ -133,7 +133,7 @@ def estimate_level(
     spacing: float,
     delta_min: float,
     local=None,
-    prefetch: Sequence[HyperRect] = (),
+    prefetch: Sequence[SampleRecord] = (),
 ) -> LevelEstimate:
     """Assemble the level estimate from obstacle and boundary samples.
 
@@ -142,24 +142,26 @@ def estimate_level(
     the estimate refuses to support a verdict.  The local invariant set
     must itself fit inside the sublevel set (checked on sampled boundary
     points of the local ellipsoid).  One pass bounds the obstacles, the
-    boundary samples and the boxes of `prefetch` (those of an invariance
-    audit that follows) at `delta_min`, and the obstacle with the smallest
-    W at its centre at `delta_min / 4`; a second pass bounds the other
-    obstacles the refinement loop can visit (_refined_min).  The context
-    keeps the bounds (WContext.lower_bounds_at).
+    boundary samples and the boxes of the records `prefetch` (those an
+    invariance audit that follows bounds) at `delta_min`, and the obstacle
+    with the smallest W at its centre at `delta_min / 4`; a second pass
+    bounds the other obstacles the refinement loop can visit
+    (_refined_min).  The context keeps the bounds (WContext.lower_bounds_at).
     """
     if not ledger.good:
         raise ValueError("level estimation needs a non-empty certified region")
 
-    obstacles = [rec.box() for rec in obstacle_samples(ledger, delta_min, local)]
-    boundary = [rec.box() for rec in boundary_samples(S, spacing, ledger)]
-    samples = obstacles + boundary
+    obstacles = BoxArray.of_records(obstacle_samples(ledger, delta_min, local))
+    boundary = BoxArray.of_records(boundary_samples(S, spacing, ledger))
+    samples = BoxArray.concat([obstacles, boundary])
     refine_to = delta_min / 4.0
     lowest = _lowest_centre(wctx, obstacles)
-    requests = [(box, delta_min) for box in samples + list(prefetch)]
-    requests += [(lowest, refine_to)] if lowest is not None else []
-    coarse = wctx.lower_bounds_at(requests)[: len(samples)]
-    skipped = [box for box, lb in zip(samples, coarse) if lb is None]
+    prefetch = BoxArray.of_records(prefetch)
+    lowest_box = obstacles.take([lowest] if lowest is not None else [])
+    requests = BoxArray.concat([samples, prefetch, lowest_box])
+    subs = [delta_min] * (len(samples) + len(prefetch)) + [refine_to] * len(lowest_box)
+    coarse = wctx.lower_bounds_at(requests, subs)[: len(samples)]
+    skipped = samples.take([k for k, lb in enumerate(coarse) if lb is None])
 
     # evaluating obstacle bounds on a sub-resolution grid tames interval
     # dependency; the certified geometry itself is untouched
@@ -168,7 +170,7 @@ def estimate_level(
     Lbar = min(Lbar1, Lbar2)
 
     overlaps = False
-    if math.isfinite(Lbar) and skipped:
+    if math.isfinite(Lbar) and len(skipped):
         overlaps = any(
             rng is None or rng.lo <= Lbar for rng in wctx.interval_values_over_boxes(skipped)
         )
@@ -189,16 +191,16 @@ def estimate_level(
     )
 
 
-def _lowest_centre(wctx: WContext, boxes: list) -> Optional[HyperRect]:
-    """The box with the smallest W value at its centre (None if no value
-    is known): its refined bound usually sets Lbar1."""
-    values = wctx.values(np.array([box.center for box in boxes])) if boxes else []
+def _lowest_centre(wctx: WContext, boxes: BoxArray) -> Optional[int]:
+    """The index of the box with the smallest W value at its centre (None
+    if no value is known): its refined bound usually sets Lbar1."""
+    values = wctx.values(boxes.centers) if len(boxes) else []
     known = [(w, k) for k, w in enumerate(values) if not isinstance(w, Exception)]
-    return boxes[min(known)[1]] if known else None
+    return min(known)[1] if known else None
 
 
 def _refined_min(
-    wctx: WContext, boxes: list, coarse: list, refine_to: float, lowest: Optional[HyperRect]
+    wctx: WContext, boxes: BoxArray, coarse: list, refine_to: float, lowest: Optional[int]
 ) -> float:
     """Smallest obstacle bound: the boxes in increasing order of their
     coarse bound, each bounded again at `refine_to`, until the next coarse
@@ -206,32 +208,32 @@ def _refined_min(
     (_candidates) are refined first in one batch; the loop reads their
     bounds and refines any other box it visits itself, so the result does
     not depend on the candidates."""
-    ranked = sorted(
-        ((lb, box) for lb, box in zip(coarse, boxes) if lb is not None), key=lambda t: t[0]
+    ranked = sorted(((lb, k) for k, lb in enumerate(coarse) if lb is not None), key=lambda t: t[0])
+    wctx.lower_bounds(
+        boxes.take(_candidates(wctx, boxes, ranked, refine_to, lowest)), subdivide_to=refine_to
     )
-    wctx.lower_bounds(_candidates(wctx, ranked, refine_to, lowest), subdivide_to=refine_to)
     best = math.inf
-    for lb, box in ranked:
+    for lb, k in ranked:
         if lb >= best:
             break  # refined bounds only increase; the minimum is settled
-        tight = level_lower_bound(wctx, box, refine_to)
+        tight = level_lower_bound(wctx, boxes[k], refine_to)
         best = min(best, tight if tight is not None else lb)
     return best
 
 
-def _candidates(wctx: WContext, ranked: list, refine_to: float, lowest) -> list:
-    """The boxes of `ranked` ((coarse bound, box) pairs in increasing order)
-    up to `lowest`, and those after it whose coarse bound lies below what
-    the loop takes for `lowest`: its refined bound, or its coarse one when
-    it has none.  After the loop visits `lowest` its minimum is at most
-    that value, so these are all the boxes it can visit.  No candidates
-    when `lowest` has no coarse bound."""
-    at = next((i for i, (_, box) in enumerate(ranked) if box is lowest), None)
+def _candidates(wctx: WContext, boxes: BoxArray, ranked: list, refine_to: float, lowest) -> list:
+    """The indices of the boxes of `ranked` ((coarse bound, index) pairs in
+    increasing order) up to box `lowest`, and those after it whose coarse
+    bound lies below what the loop takes for `lowest`: its refined bound,
+    or its coarse one when it has none.  After the loop visits `lowest`
+    its minimum is at most that value, so these are all the boxes it can
+    visit.  No candidates when `lowest` has no coarse bound."""
+    at = next((i for i, (_, k) in enumerate(ranked) if k == lowest), None)
     if at is None:
         return []
-    tight = wctx.lower_bounds([lowest], subdivide_to=refine_to)[0]
+    tight = wctx.lower_bounds(boxes.take([lowest]), subdivide_to=refine_to)[0]
     top = tight if tight is not None else ranked[at][0]
-    return [box for i, (lb, box) in enumerate(ranked) if i <= at or lb < top]
+    return [k for i, (lb, k) in enumerate(ranked) if i <= at or lb < top]
 
 
 def _local_set_inside_level(wctx: WContext, local, Lbar: float, samples: int = 512) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import batch_or_each
 from .errors import NotLocallyStableError
 from .expr import eval_grad, eval_real
-from .geometry import HyperRect, interval_batch
+from .geometry import BoxArray, HyperRect, interval_batch
 from .interval import IntervalArray, require_no_nan
 from .system import (
     CandidateV,
@@ -167,7 +167,7 @@ def verify_local(
 
     P = np.asarray(P_L, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
-        escapes = _hole_escapes(dsys, [rec.box() for rec in cert.ledger.wrong], P, level)
+        escapes = _hole_escapes(dsys, BoxArray.of_records(cert.ledger.wrong), P, level)
     return LocalCertificate(
         A_lin=[m.tolist() for m in mats],
         P_L=P,
@@ -183,14 +183,16 @@ _BATCH_ERRORS = (ValueError, OverflowError)
 
 
 def _hole_escapes(dsys, boxes, P, level) -> bool:
-    """Does a box that meets the level set have a one-step image (under a
-    region its guards allow) on which x'Px exceeds the level?
+    """Does a box (of a BoxArray, or HyperRects) that meets the level set
+    have a one-step image (under a region its guards allow) on which x'Px
+    exceeds the level?
 
     The answer, or the error raised, is that of a loop over the boxes in
     order and over each box's regions in order, which stops at the first
     escape; the enclosures come from one batch for all boxes and one per
     region.
     """
+    boxes = BoxArray.of(boxes)
 
     def quad(ivals, end):  # one endpoint of x'Px over each entry of ivals
         q = quad_form(P, list(ivals))
@@ -200,15 +202,15 @@ def _hole_escapes(dsys, boxes, P, level) -> bool:
         return getattr(q, end).tolist()
 
     def images_escape(region, ks):
-        image, errors = _enclose(region.field.components, interval_batch([boxes[k] for k in ks]))
+        image, errors = _enclose(region.field.components, interval_batch(boxes.take(ks)))
         return [errors.get(j, hi > level) for j, hi in enumerate(quad(image, "hi"))]
 
     def regions_of(ks):
-        return regions_intersecting_boxes(dsys, [boxes[k] for k in ks])
+        return regions_intersecting_boxes(dsys, boxes.take(ks))
 
     keys = range(len(boxes))
     lows = batch_or_each(
-        lambda ks: quad(interval_batch([boxes[k] for k in ks]), "lo"), keys, _BATCH_ERRORS
+        lambda ks: quad(interval_batch(boxes.take(ks)), "lo"), keys, _BATCH_ERRORS
     )
     touching = [k for k in keys if isinstance(lows[k], Exception) or lows[k] <= level]
     regions = dict(zip(touching, batch_or_each(regions_of, touching, _BATCH_ERRORS)))

@@ -245,7 +245,7 @@ def _finish(cfg: RunConfig, cert, wctx, local, timings: dict, notes: list, t0: f
             cfg.boundary_spacing,
             cfg.delta_min,
             local,
-            prefetch=[box for _, box in rows or ()],
+            prefetch=rows or (),
         )
         timings["level"] = time.perf_counter() - t
 

@@ -478,10 +478,9 @@ def _feasible_regions(sys: PiecewiseSystem, ivals: IntervalArray, literal: bool)
     )
 
 
-def regions_intersecting_boxes(
-    sys: PiecewiseSystem, boxes: Sequence[HyperRect], literal: bool = False
-) -> list:
-    """regions_intersecting for every box: a tuple of regions, or the error."""
+def regions_intersecting_boxes(sys: PiecewiseSystem, boxes, literal: bool = False) -> list:
+    """regions_intersecting for every box (of a BoxArray, or HyperRects): a
+    tuple of regions, or the error."""
     masks, errors = _feasible_regions(sys, interval_batch(boxes), literal)
     return [
         errors[k] if k in errors else tuple(np.flatnonzero(masks[:, k]).tolist())
@@ -491,12 +490,13 @@ def regions_intersecting_boxes(
 
 def enumerate_boxes_branches(
     sys: PiecewiseSystem,
-    boxes: Sequence[HyperRect],
+    boxes,
     M: int,
     domain: Optional[HyperRect] = None,
     cap: int = 64,
 ) -> list:
-    """enumerate_box_branches for every box, in one interval walk.
+    """enumerate_box_branches for every box (of a BoxArray, or HyperRects),
+    in one interval walk.
 
     The state enclosures of the boxes that share a branch sequence step as
     one IntervalArray.  Sequences are visited in sorted order, which is the
@@ -506,13 +506,13 @@ def enumerate_boxes_branches(
     """
     _require_discrete(sys)
     failed = np.zeros(len(boxes), bool)
-    out = [[] for _ in boxes]
+    out = [[] for _ in range(len(boxes))]
 
     def fail(k, exc):
         failed[k] = True
         out[k] = exc
 
-    groups = {(): (np.arange(len(boxes)), interval_batch(boxes))} if boxes else {}
+    groups = {(): (np.arange(len(boxes)), interval_batch(boxes))} if len(boxes) else {}
     for step_idx in range(M):
         check_domain = domain is not None and step_idx < M - 1
         count = np.zeros(len(boxes), int)

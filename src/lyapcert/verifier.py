@@ -19,21 +19,13 @@ from .bounds import (
     WContext,
     assess_boxes,
     assess_branch,  # noqa: F401  (importable from here as well)
-    box_radius,
     by_branch,
     certificate_slack,
     DecreaseMap,
     DerivativeAlongFlowMap,
 )
 from .errors import BranchOverflowError, CoverageError, DomainError, TieError
-from .geometry import (
-    HyperRect,
-    SampleLedger,
-    SampleRecord,
-    interval_batch,
-    longest_axes,
-    refine2,
-)
+from .geometry import BoxArray, HyperRect, SampleLedger, SampleRecord, interval_batch
 from .interval import IntervalArray
 from .localyap import LocalCertificate
 from .system import (
@@ -125,7 +117,7 @@ class DecreaseContext:
         self.domain = domain
         self.cap = cap
 
-    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+    def boxes_branches(self, boxes: BoxArray) -> list:
         return enumerate_boxes_branches(self.sys, boxes, self.M, self.domain, self.cap)
 
     def map_for(self, branches):
@@ -135,8 +127,8 @@ class DecreaseContext:
     def point_branches(self, x):
         return enumerate_branches(self.sys, x, self.M, self.cap)
 
-    def center_exits(self, box: HyperRect) -> bool:
-        return center_trajectory_exits(self.sys, box.center, self.M, self.domain)
+    def center_exits(self, center) -> bool:
+        return center_trajectory_exits(self.sys, center, self.M, self.domain)
 
 
 class FlowDerivativeContext:
@@ -158,14 +150,15 @@ class FlowDerivativeContext:
         self.domain = domain
         self.cap = cap
 
-    def boxes_branches(self, boxes: Sequence[HyperRect]) -> list:
+    def boxes_branches(self, boxes) -> list:
         """(flow region, sequence) pairs per box, or the box's error: a
         flow-region guard error first, then the sequence enumeration's,
         then the cap on the pairs."""
+        boxes = BoxArray.of(boxes)
         out = regions_intersecting_boxes(self.ct_sys, boxes, literal=True)
         keys = [k for k, regions in enumerate(out) if not isinstance(regions, Exception)]
         seqs_of = enumerate_boxes_branches(
-            self.dt_sys, [boxes[k] for k in keys], self.M - 1, self.domain, self.cap
+            self.dt_sys, boxes.take(keys), self.M - 1, self.domain, self.cap
         )
         for k, seqs in zip(keys, seqs_of):
             if isinstance(seqs, Exception):
@@ -190,11 +183,11 @@ class FlowDerivativeContext:
         seqs = enumerate_branches(self.dt_sys, x, self.M - 1, self.cap)
         return [(r, s) for r in regions for s in seqs]
 
-    def center_exits(self, box: HyperRect) -> bool:
-        return center_trajectory_exits(self.dt_sys, box.center, self.M, self.domain)
+    def center_exits(self, center) -> bool:
+        return center_trajectory_exits(self.dt_sys, center, self.M, self.domain)
 
 
-def _point_jump(ctx, box, branches, values) -> float:
+def _point_jump(ctx, center, branches, values) -> float:
     """Jump gap of the map at the sample point itself.
 
     Branch patterns active at the point are a subset of the box-feasible
@@ -205,7 +198,7 @@ def _point_jump(ctx, box, branches, values) -> float:
     if len(values) <= 1:
         return 0.0
     try:
-        at_point = set(ctx.point_branches(box.center))
+        at_point = set(ctx.point_branches(center))
     except (TieError, BranchOverflowError, CoverageError, DomainError):
         return float(max(values) - min(values))
     vals = [v for b, v in zip(branches, values) if b in at_point]
@@ -227,8 +220,28 @@ class BoxOutcome:
     refinable: bool = True
 
 
-def verify_boxes(ctx, boxes: Sequence[HyperRect]) -> list:
-    """Certify each box or report why it could not be certified.
+@dataclass
+class BoxOutcomes:
+    """The outcomes of N boxes, a sequence of BoxOutcome: entry k of each
+    field is box k's."""
+
+    certified: np.ndarray  # bool
+    F_value: list
+    gamma: list
+    flag: list
+    refinable: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.flag)
+
+    def __getitem__(self, k: int) -> BoxOutcome:
+        certified, refinable = bool(self.certified[k]), bool(self.refinable[k])
+        return BoxOutcome(certified, self.F_value[k], self.gamma[k], self.flag[k], refinable)
+
+
+def verify_boxes(ctx, boxes) -> BoxOutcomes:
+    """Certify each box (of a BoxArray, or HyperRects) or report why it
+    could not be certified.
 
     Branch patterns are enumerated for all boxes in one interval walk;
     then every (box, branch) pair is assessed in one batched evaluation
@@ -236,32 +249,59 @@ def verify_boxes(ctx, boxes: Sequence[HyperRect]) -> list:
     of a float power, is assessed again pair by pair, so only the boxes at
     fault are flagged `domain-error`.  Each outcome is the same whatever
     the other boxes in the call are.
+
+    A box with one branch and no error is decided by array operations,
+    F = F(x_s) and gamma = a * max|delta| + b + 0.0 (certificate_slack
+    with no jump); the others box by box (_decide).
     """
+    boxes = BoxArray.of(boxes)
     branches, found = by_branch(ctx, boxes, _EVAL_ERRORS, assess_boxes)
-    return [_decide(ctx, box, seqs, found, k) for k, (box, seqs) in enumerate(zip(boxes, branches))]
+    N = len(boxes)
+    out = BoxOutcomes(np.zeros(N, bool), [None] * N, [None] * N, [None] * N, np.ones(N, bool))
+    radius = boxes.radius
+    plain, bounds = [], []
+    for k, seqs in enumerate(branches):
+        if not isinstance(seqs, Exception) and len(seqs) == 1:
+            bb = found[k, seqs[0]][0]
+            if not isinstance(bb, _EVAL_ERRORS):
+                plain.append(k)
+                bounds.append((bb.value, bb.split.a, bb.split.b))
+                continue
+        _decide(ctx, boxes.centers[k], float(radius[k]), seqs, found, k, out)
+    if plain:
+        F, a, b = np.array(bounds).T
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as for floats
+            gamma = a * radius[plain] + b + 0.0
+        out.certified[plain] = F < -gamma
+        for k, f, g in zip(plain, F.tolist(), gamma.tolist()):
+            out.F_value[k], out.gamma[k] = f, g
+    return out
 
 
-def _decide(ctx, box, branches, found, k) -> BoxOutcome:
-    """The outcome of box k from its branches, or the error that stopped
+def _decide(ctx, center, xi, branches, found, k, out: BoxOutcomes):
+    """Entry k of `out` from box k's branches, or the error that stopped
     their enumeration, and their assessments in `found` (by_branch)."""
     if isinstance(branches, BranchOverflowError):
-        return BoxOutcome(False, None, None, "branch-overflow")
-    if isinstance(branches, _EVAL_ERRORS):
-        return BoxOutcome(False, None, None, "domain-error")
-    if isinstance(branches, DomainExit):
+        out.flag[k] = "branch-overflow"
+    elif isinstance(branches, _EVAL_ERRORS):
+        out.flag[k] = "domain-error"
+    elif isinstance(branches, DomainExit):
         # refinement shrinks the enclosure, but not a trajectory that has
         # already left through the sample point itself
-        return BoxOutcome(False, None, None, "left-domain", refinable=not ctx.center_exits(box))
-    if isinstance(branches, CoverageError):
-        return BoxOutcome(False, None, None, "no-region")
-    assessments = [found[k, b][0] for b in branches]
-    if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
-        return BoxOutcome(False, None, None, "domain-error")
-    values = [a.value for a in assessments]
-    eps = _point_jump(ctx, box, branches, values)
-    gamma = certificate_slack([a.split for a in assessments], eps, box_radius(box))
-    F = float(max(values))
-    return BoxOutcome(F < -gamma, F, gamma, None)
+        out.flag[k] = "left-domain"
+        out.refinable[k] = not ctx.center_exits(center)
+    elif isinstance(branches, CoverageError):
+        out.flag[k] = "no-region"
+    else:
+        assessments = [found[k, b][0] for b in branches]
+        if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
+            out.flag[k] = "domain-error"
+            return
+        values = [a.value for a in assessments]
+        eps = _point_jump(ctx, center, branches, values)
+        gamma = certificate_slack([a.split for a in assessments], eps, xi)
+        F = float(max(values))
+        out.certified[k], out.F_value[k], out.gamma[k] = F < -gamma, F, gamma
 
 
 # `method` and `pairing` are accepted and ignored: bench/micro.py passes them
@@ -279,52 +319,48 @@ class _BoxEvaluator:
     def __init__(self, ctx):
         self.ctx = ctx
 
-    def map(self, boxes):
+    def map(self, boxes: BoxArray) -> BoxOutcomes:
         return verify_boxes(self.ctx, boxes)
 
 
 # -- multi-resolution construction --------------------------------------------
 
 
-def _seed_boxes(cfg: VerifyConfig):
+def _seed_boxes(cfg: VerifyConfig) -> BoxArray:
     if cfg.seed_split is None:
-        return [cfg.S]
+        return BoxArray.of([cfg.S])
     splits = cfg.seed_split
     lo, hi = cfg.S.lower, cfg.S.upper
     edges = [np.linspace(lo[i], hi[i], splits[i] + 1) for i in range(cfg.S.n)]
-    boxes = []
-    for idx in itertools.product(*(range(k) for k in splits)):
-        blo = [edges[i][idx[i]] for i in range(cfg.S.n)]
-        bhi = [edges[i][idx[i] + 1] for i in range(cfg.S.n)]
-        boxes.append(HyperRect.from_bounds(blo, bhi))
-    return boxes
+    idx = np.array(list(itertools.product(*(range(k) for k in splits))))
+    blo = np.stack([edges[i][idx[:, i]] for i in range(cfg.S.n)], axis=1)
+    bhi = np.stack([edges[i][idx[:, i] + 1] for i in range(cfg.S.n)], axis=1)
+    return BoxArray.from_bounds(blo, bhi)
 
 
 def build_certified_region(cfg: VerifyConfig, ctx, M_label: Optional[int] = None) -> Certificate:
-    """Breadth-first multi-resolution search for the certified union of boxes."""
+    """Breadth-first multi-resolution search for the certified union of boxes.
+
+    Each wave is a BoxArray: its boxes are decided in one batched call,
+    those that are neither certified nor at the resolution floor (nor
+    stuck, refinable False) are refined together, and the others go to
+    the ledger in queue order."""
     ledger = SampleLedger()
     explored = 0
     queue = _seed_boxes(cfg)
     evaluator = _BoxEvaluator(ctx)
-    while queue:
-        outcomes = evaluator.map(queue)
-        next_queue = []
-        for box, out in zip(queue, outcomes):
-            explored += 1
-            if out.certified:
-                ledger.good.append(
-                    SampleRecord(box.center, box.delta, box.tau, out.F_value, out.gamma)
-                )
-            elif box.max_abs_delta > cfg.delta_min and out.refinable:
-                dims = longest_axes(box) if cfg.split_longest_only else None
-                next_queue.extend(refine2(box, dims))
-            else:
-                ledger.wrong.append(
-                    SampleRecord(
-                        box.center, box.delta, box.tau, out.F_value, out.gamma, out.flag
-                    )
-                )
-        queue = next_queue
+    while len(queue):
+        out = evaluator.map(queue)
+        explored += len(queue)
+        split = ~out.certified & out.refinable & (queue.radius > cfg.delta_min)
+        tau = queue.tau
+        for k in np.flatnonzero(~split).tolist():
+            rec = SampleRecord(
+                queue.centers[k], queue.deltas[k], tau[k], out.F_value[k], out.gamma[k], out.flag[k]
+            )
+            (ledger.good if out.certified[k] else ledger.wrong).append(rec)
+        parents = queue.take(split)
+        queue = parents.refine(parents.longest() if cfg.split_longest_only else None)
     ledger.sort()
     return Certificate(
         ledger=ledger,
@@ -387,7 +423,7 @@ def verify_continuous(
 # -- invariance assembly -------------------------------------------------------
 
 
-def _boxes_inside_level(boxes: Sequence[HyperRect], P: np.ndarray, level: float) -> list:
+def _boxes_inside_level(boxes: BoxArray, P: np.ndarray, level: float) -> list:
     """Does the interval enclosure of x'Px over each box stay <= level?"""
     out = quad_form(np.asarray(P, float), list(interval_batch(boxes)))
     hi = out.hi if isinstance(out, IntervalArray) else np.full(len(boxes), float(out))
@@ -395,14 +431,13 @@ def _boxes_inside_level(boxes: Sequence[HyperRect], P: np.ndarray, level: float)
 
 
 def audit_rows(ledger: SampleLedger, local: Optional[LocalCertificate]) -> list:
-    """(record, box) of each undecided record whose box the interval
-    enclosure does not put inside the local ellipsoid: the boxes the
-    invariance audit bounds, each built once."""
-    rows = [(rec, rec.box()) for rec in ledger.wrong]
+    """The undecided records whose box the interval enclosure does not put
+    inside the local ellipsoid: those the invariance audit bounds."""
+    rows = list(ledger.wrong)
     if local is None or not rows:
         return rows
-    inside = _boxes_inside_level([box for _, box in rows], local.P_L, local.level_L)
-    return [row for row, ok in zip(rows, inside) if not ok]
+    inside = _boxes_inside_level(BoxArray.of_records(rows), local.P_L, local.level_L)
+    return [rec for rec, ok in zip(rows, inside) if not ok]
 
 
 def check_invariance(
@@ -423,16 +458,16 @@ def check_invariance(
     `subdivide_to`, at `subdivide_to / 4`, and the plain interval
     enclosure.  Returns (ok, gap_records).
     """
-    open_ = audit_rows(ledger, local) if rows is None else rows
+    open_ = audit_rows(ledger, local) if rows is None else list(rows)
     subs = [subdivide_to] if subdivide_to is None else [subdivide_to, subdivide_to / 4.0]
     for sub in subs:
         if open_:
-            bounds = wctx.lower_bounds([box for _, box in open_], subdivide_to=sub)
+            bounds = wctx.lower_bounds(BoxArray.of_records(open_), subdivide_to=sub)
             open_ = [
-                row for row, b in zip(open_, bounds) if not (b is not None and b >= level - 1e-12)
+                rec for rec, b in zip(open_, bounds) if not (b is not None and b >= level - 1e-12)
             ]
     if open_:
-        ranges = wctx.interval_values_over_boxes([box for _, box in open_])
-        open_ = [row for row, rng in zip(open_, ranges) if not (rng is not None and rng.lo > level)]
+        ranges = wctx.interval_values_over_boxes(BoxArray.of_records(open_))
+        open_ = [rec for rec, rng in zip(open_, ranges) if not (rng is not None and rng.lo > level)]
     ok = not open_ and local is not None
-    return ok, [rec for rec, _ in open_]
+    return ok, open_

@@ -38,7 +38,6 @@ from lyapcert.bounds import (
     assess_branch,
     assess_ranges,
     batch_or_each,
-    box_radius,
     by_branch,
     certificate_slack,
     gradient_coefficient,
@@ -57,7 +56,7 @@ from lyapcert.expr import (
     eval_any,
     eval_hess_interval,
 )
-from lyapcert.geometry import interval_batch, refine2
+from lyapcert.geometry import BoxArray, interval_batch, refine2
 from lyapcert.interval import IntervalArray
 from lyapcert.scalars import div_, lift_like, pow_, sqrt_, strict_sign
 from lyapcert.system import (
@@ -387,7 +386,8 @@ def scalar_verify(ctx, box):
     except DomainError:
         return BoxOutcome(False, None, None, "domain-error")
     except DomainExit:
-        return BoxOutcome(False, None, None, "left-domain", refinable=not ctx.center_exits(box))
+        refinable = not ctx.center_exits(box.center)
+        return BoxOutcome(False, None, None, "left-domain", refinable=refinable)
     except CoverageError:
         return BoxOutcome(False, None, None, "no-region")
     try:
@@ -395,8 +395,8 @@ def scalar_verify(ctx, box):
     except DomainError:
         return BoxOutcome(False, None, None, "domain-error")
     values = [a.value for a in assessments]
-    eps = _point_jump(ctx, box, branches, values)
-    gamma = certificate_slack([a.split for a in assessments], eps, box_radius(box))
+    eps = _point_jump(ctx, box.center, branches, values)
+    gamma = certificate_slack([a.split for a in assessments], eps, box.max_abs_delta)
     F = float(max(values))
     return BoxOutcome(F < -gamma, F, gamma, None)
 
@@ -420,7 +420,7 @@ def scalar_lower_bound(wctx, box, subdivide_to=None):
         branches = scalar_ctx_branches(wctx, box)
     except (LyapcertError, DomainExit):
         return None
-    xi = box_radius(box)
+    xi = box.max_abs_delta
     try:
         for seq in branches:
             bb = scalar_assess(wctx.map_for([seq]), box)
@@ -1024,6 +1024,7 @@ def grouped_by_branch(ctx, boxes, errors, *evaluations):
     """by_branch with one batch per branch sequence, over the boxes that
     can follow it, each retried box by box through batch_or_each: the
     reference for the one batch over all (box, branch) rows of a pass."""
+    boxes = BoxArray.of(boxes)
     branches = ctx.boxes_branches(boxes)
     groups = {}
     for k, seqs in enumerate(branches):
@@ -1031,7 +1032,7 @@ def grouped_by_branch(ctx, boxes, errors, *evaluations):
             groups.setdefault(seq, []).append(k)
     found = {}
     for seq, keys in groups.items():
-        fmap, group = ctx.map_for([seq]), [boxes[k] for k in keys]
+        fmap, group = ctx.map_for([seq]), boxes.take(keys)
         results = [batch_or_each(lambda bs: ev(fmap, bs), group, errors) for ev in evaluations]
         found.update(((k, seq), res) for k, *res in zip(keys, *results))
     return branches, found
@@ -1135,7 +1136,7 @@ def _calls(ctx, boxes, errors, evaluation):
     """by_branch with one evaluation, the rows, as (box index, branch) keys,
     of each of its calls, and the indices of the calls that raised."""
     calls, maps, raised = [], [], set()
-    index = {id(box): k for k, box in enumerate(boxes)}
+    index = {key: k for k, key in enumerate(BoxArray.of(boxes).keys())}
     map_for = ctx.map_for
 
     def recording(branches):
@@ -1143,7 +1144,7 @@ def _calls(ctx, boxes, errors, evaluation):
         return map_for(branches)
 
     def counted(fmap, bs):
-        calls.append([(index[id(b)], seq) for b, seq in zip(bs, maps[-1])])
+        calls.append([(index[key], seq) for key, seq in zip(BoxArray.of(bs).keys(), maps[-1])])
         try:
             return evaluation(fmap, bs)
         except errors:
@@ -1677,7 +1678,7 @@ def test_memoised_w_bounds_match_a_fresh_context(switched_sys, monkeypatch):
         assert len(passes) == 1
         # a batch with new boxes bounds only those
         wctx.lower_bounds(others + boxes[:2], sub)
-        assert passes[-1] == sum(len(wctx._pieces(b, sub)) for b in others)
+        assert passes[-1] == len(wctx._pieces(BoxArray.of(others), [sub] * len(others))[0])
         for k, box in enumerate(boxes):
             fresh = WContext(switched_sys, V, 3, None, 64).lower_bounds([others[k % 3], box], sub)[1]
             assert same_bound(first[k], fresh)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcert import CandidateV, HyperRect
 from lyapcert.ad import dual2_seeds, hessian_of
@@ -14,10 +16,13 @@ from lyapcert.bounds import (
     batch_or_each,
     certificate_slack,
     gradient_coefficient,
+    gradient_coefficients,
     remainder_bound,
+    remainder_bounds,
     w_point_value,
 )
 from lyapcert.expr import eval_hess_interval, parse_expr
+from lyapcert.geometry import BoxArray
 from lyapcert.system import euler_discretize
 
 from conftest import one_box
@@ -280,9 +285,11 @@ def test_w_bound_refuses_unbounded_refinement():
     # within the budget the count is exact: 2^(axes * levels), here with
     # two of three axes split
     box = HyperRect([0.0, 0.0, 0.0], [0.8, -0.8, 0.8, -0.8, 0.0, 0.0])
-    assert [_refinement(box, s) for s in (None, 0.8, 0.4, 0.1)] == [(0, 1), (0, 1), (1, 4), (3, 64)]
-    assert len(wctx._pieces(box, 0.1)) == 64
-    assert _refinement(box, 0.8 / 2**7)[1] > _MAX_PIECES  # 4^7 pieces
+    plans = [_refinement(box.max_abs_delta, 2, s) for s in (None, 0.8, 0.4, 0.1)]
+    assert plans == [(0, 1), (0, 1), (1, 4), (3, 64)]
+    pieces, owner = wctx._pieces(BoxArray.of([box]), [0.1])
+    assert len(pieces) == 64 and not owner.any()
+    assert _refinement(box.max_abs_delta, 2, 0.8 / 2**7)[1] > _MAX_PIECES  # 4^7 pieces
     # a box inside the budget is bounded as before; one beyond it is not
     good = HyperRect([0.5], [0.1, -0.1])
     fine = wctx.lower_bounds([good], subdivide_to=0.1 / 2**10)[0]
@@ -319,3 +326,48 @@ def test_batch_or_each_bisects():
     assert calls == [[1, 2, 3, 4, 5, 7], [1, 3, 5, 7], [1, 3], [1], [3], [5, 7], [2, 4]]
     with pytest.raises(ValueError):
         batch_or_each(batch, [3], (OverflowError,))
+
+
+def _layout(x: np.ndarray, kind: str) -> np.ndarray:
+    """x with the same entries in another memory layout: C order, Fortran
+    order, every other entry of a larger array, or a transposed copy seen
+    through its transpose."""
+    if kind == "fortran":
+        return np.asfortranarray(x)
+    if kind == "strided":
+        big = np.zeros(tuple(2 * d for d in x.shape))
+        view = big[tuple(slice(None, None, 2) for _ in x.shape)]
+        view[...] = x
+        return view
+    if kind == "transposed":
+        return np.ascontiguousarray(x.T).T
+    return x
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    count=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided", "transposed"])] * 3),
+)
+def test_array_coefficients_equal_per_row(n, count, seed, layouts):
+    """The array reductions of assess_boxes give, row by row, the bits of
+    the one-box formulas they replaced, and of gradient_coefficient and
+    remainder_bound, whatever the memory layout of their operands."""
+    rng = np.random.default_rng(seed)
+
+    def magnitudes(*shape):
+        return rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-12, 12, shape)
+
+    grads = _layout(magnitudes(count, n) * rng.choice([-1.0, 1.0], (count, n)), layouts[0])
+    hess = magnitudes(count, n, n)
+    hess = _layout(hess + hess.transpose(0, 2, 1), layouts[1])
+    tau = _layout(magnitudes(count, n), layouts[2])
+    a, b = gradient_coefficients(grads), remainder_bounds(hess, tau)
+    for k in range(count):
+        H, t = np.ascontiguousarray(hess[k]), np.ascontiguousarray(tau[k])
+        one_box = (float(np.sum(np.abs(grads[k]))), float(0.5 * t @ H @ t))
+        rows = (gradient_coefficient(grads[k]), remainder_bound(hess[k], tau[k]))
+        for got, want, row in zip((a[k], b[k]), one_box, rows):
+            assert got.tobytes() == np.float64(want).tobytes() == np.float64(row).tobytes()

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from lyapcert.geometry import (
+    BoxArray,
     HyperRect,
     max_abs_delta,
     refine2,
     tau_of,
 )
+
+from ref_verifier import ref_longest_axes, ref_refine2
 
 
 def test_tau_and_max_abs():
@@ -103,3 +106,31 @@ def test_invalid_offsets_rejected():
         HyperRect([0.0], [-0.1, -0.2])  # upper offset negative
     with pytest.raises(ValueError):
         HyperRect([0.0], [0.1, 0.2])  # lower offset positive
+
+
+def test_box_array_refine_matches_per_box_refine2():
+    """Children of boxes that split different axes (flat boxes, chosen
+    axes) come box by box with the bits and order of refine2 on each box,
+    and longest() marks the axes of longest_axes."""
+    rng = np.random.default_rng(9)
+    boxes = []
+    for flat in (None, 0, 1, 2, None, 1):
+        hi, lo = rng.uniform(0.1, 1.0, 3), -rng.uniform(0.1, 1.0, 3)
+        if flat is not None:
+            hi[flat] = lo[flat] = 0.0
+        boxes.append(HyperRect(rng.uniform(-2, 2, 3), np.ravel(np.column_stack([hi, lo]))))
+    array = BoxArray.of(boxes)
+    picks = [[0, 2], [1], [0, 1, 2]]
+    chosen = np.zeros((len(boxes), 3), bool)
+    for k, box in enumerate(boxes):
+        dims = [d for d in picks[k % 3] if box.hi_offsets[d] > box.lo_offsets[d]]
+        chosen[k, dims] = True
+    for split, dims_of in ((None, lambda k: None), (chosen, lambda k: np.flatnonzero(chosen[k]))):
+        kids = array.refine(split)
+        ref = [kid for k, box in enumerate(boxes) for kid in ref_refine2(box, dims_of(k))]
+        assert kids.centers.tobytes() == np.array([kid.center for kid in ref]).tobytes()
+        assert kids.deltas.tobytes() == np.array([kid.delta for kid in ref]).tobytes()
+    longest = array.longest()
+    assert [np.flatnonzero(row).tolist() for row in longest] == [ref_longest_axes(b) for b in boxes]
+    with pytest.raises(ValueError):
+        array.refine(np.ones((len(boxes), 3), bool))  # a flat axis cannot be split

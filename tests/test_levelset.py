@@ -379,7 +379,7 @@ def test_level_and_audit_share_two_w_passes(poly2d_run, monkeypatch):
         cfg.boundary_spacing,
         cfg.delta_min,
         local,
-        prefetch=[box for _, box in rows],
+        prefetch=rows,
     )
     assert len(passes) == 2
     ok, gaps = check_invariance(ledger, wctx, est.Lbar, local, cfg.delta_min, rows)

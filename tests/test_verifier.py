@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from lyapcert import CandidateV, HyperRect
+from lyapcert import CandidateV, HyperRect, parse_expr
 from lyapcert.bounds import WContext
 from lyapcert.geometry import SampleLedger, SampleRecord, tau_of
+from lyapcert.system import Guard, PiecewiseSystem, Region
 from lyapcert.verifier import (
     DecreaseContext,
     VerifyConfig,
@@ -15,7 +18,9 @@ from lyapcert.verifier import (
     WDescription,
 )
 
+from conftest import _field
 from oracles import decrease_batch, sample_box
+from ref_verifier import ref_build_certified_region
 
 
 def _ctx(sys, P, rho, M, domain=None, cap=64):
@@ -177,3 +182,98 @@ def test_continuous_verifier_halts_on_unstable():
     )
     cert = verify_continuous(cfg, ct, dt, WDescription(np.eye(1), 0.999, 1))
     assert cert.verdict == "halted"
+
+
+# -- the wave loop against the per-box reference --------------------------------
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _record_bits(rec):
+    return (
+        rec.spoint.tobytes(),
+        rec.delta.tobytes(),
+        rec.tau.tobytes(),
+        _bits(rec.F_value),
+        _bits(rec.gamma),
+        rec.flag,
+    )
+
+
+def _wave_cases(name, request):
+    """(VerifyConfig, context, flags the ledger must show) of one case."""
+    eye, square = np.eye(1), HyperRect([0, 0], [1, -1, 1, -1])
+    if name == "cubic1d":
+        cfg = VerifyConfig(S=HyperRect([0.0], [1.0, -1.0]), delta_min=0.01, M=1, M_max=1, rho_c=0.9)
+        return cfg, _ctx(request.getfixturevalue("cubic1d_sys"), eye, 0.9, 1, cfg.domain), set()
+    if name in ("switched2d", "branch-overflow"):
+        cap = 1 if name == "branch-overflow" else 64
+        cfg = VerifyConfig(S=square, delta_min=0.05, M=3, M_max=3, rho_c=0.999)
+        sys_ = request.getfixturevalue("switched_sys")
+        ctx = _ctx(sys_, np.diag([1.0, 2.0]), 0.999, 3, cfg.domain, cap)
+        return cfg, ctx, {"branch-overflow"} if cap == 1 else set()
+    if name == "domain-error":
+        x2 = parse_expr("x2", 2)
+        sys_ = PiecewiseSystem(2, "discrete", (
+            Region((Guard(x2, ">="),), _field(2, "0.5*x1", "-0.8*x2 - x1^2")),
+            Region((Guard(x2, "<"),), _field(2, "0.5*x1 + x1*x2", "-0.8*x2 + 0.1*sqrt(x1^2)")),
+        ))
+        cfg = VerifyConfig(S=square, delta_min=0.1, M=2, M_max=2, rho_c=0.999)
+        return cfg, _ctx(sys_, np.diag([1.0, 2.0]), 0.999, 2, cfg.domain), {"domain-error"}
+    if name == "left-domain":
+        S = HyperRect([0.0], [1.0, -1.0])
+        cfg = VerifyConfig(S=S, delta_min=0.01, M=3, M_max=3, rho_c=0.9, domain=S)
+        return cfg, _ctx(request.getfixturevalue("cubic1d_sys"), eye, 0.9, 3, S), {"left-domain"}
+    if name == "3d":
+        f = _field(3, "0.5*x1 + 0.1*x2*x3", "0.6*x2 - 0.2*x1^2", "0.4*x3 + 0.1*x1*x2")
+        sys_ = PiecewiseSystem(3, "discrete", (Region((), f),))
+        cfg = VerifyConfig(
+            S=HyperRect([0, 0, 0], [0.8, -0.8, 0.8, -0.8, 0.8, -0.8]),
+            delta_min=0.1, M=1, M_max=1, rho_c=0.9, seed_split=[2, 1, 3],
+        )
+        return cfg, _ctx(sys_, np.eye(3), 0.9, 1, cfg.domain), set()
+    poly = request.getfixturevalue("poly2d_sys")
+    V = np.diag([10.0, 1.0])
+    if name == "longest":
+        S = HyperRect([0.1, 0], [1.0, -0.5, 1.3, -1.3])
+        cfg = VerifyConfig(S=S, delta_min=0.05, M=2, M_max=2, rho_c=0.85, split_longest_only=True)
+        return cfg, _ctx(poly, V, 0.85, 2, cfg.domain), set()
+    assert name == "degenerate"
+    S = HyperRect([0.3, 0.0], [0.5, -0.5, 0.0, 0.0])
+    cfg = VerifyConfig(S=S, delta_min=0.02, M=2, M_max=2, rho_c=0.85)
+    return cfg, _ctx(poly, V, 0.85, 2, cfg.domain), set()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cubic1d",
+        "switched2d",
+        "3d",
+        "longest",
+        "degenerate",
+        "domain-error",
+        "left-domain",
+        "branch-overflow",
+    ],
+)
+def test_wave_loop_matches_per_box_reference(name, request):
+    """Ledgers (every box with F, gamma and flag), the explored count and
+    the good volume of the array wave loop equal those of the per-box
+    loop it replaced, bit for bit."""
+    cfg, ctx, flags = _wave_cases(name, request)
+    cert = build_certified_region(cfg, ctx)
+    ref, explored = ref_build_certified_region(cfg, ctx)
+    assert cert.explored == explored
+    for got, want in ((cert.good, ref.good), (cert.wrong, ref.wrong)):
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
+    assert _bits(cert.good_volume) == _bits(sum(r.box().volume for r in ref.good))
+    assert flags <= {r.flag for r in cert.wrong}
+    if name == "left-domain":  # some boxes stop refining: their centre's trajectory has left
+        stuck = [r for r in cert.wrong if r.box().max_abs_delta > cfg.delta_min]
+        assert any(r.flag == "left-domain" for r in stuck)
+    if name == "switched2d":  # boxes on x2 = 0 follow several branch sequences
+        boxes = [r.box() for r in cert.good + cert.wrong]
+        assert any(len(seqs) > 1 for seqs in ctx.boxes_branches(boxes))
