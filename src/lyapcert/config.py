@@ -92,10 +92,11 @@ def parse_guard(text: str, dim: int) -> Guard:
 
 def _box_from_spec(spec, dim: int, name: str) -> HyperRect:
     try:
-        if "lo" in spec:
-            box = HyperRect.from_bounds(spec["lo"], spec["hi"])
-        else:
-            box = HyperRect(spec["center"], spec["delta"])
+        lo_hi = "lo" in spec
+        parts = (spec["lo"], spec["hi"]) if lo_hi else (spec["center"], spec["delta"])
+        if not all(np.all(np.isfinite(np.asarray(p, dtype=float))) for p in parts):
+            raise ValueError("bounds must be finite numbers")
+        box = HyperRect.from_bounds(*parts) if lo_hi else HyperRect(*parts)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad box spec for {name}: {exc}") from exc
     if box.n != dim:

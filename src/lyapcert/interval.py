@@ -16,6 +16,12 @@ element, so that a whole wave of boxes is enclosed in one evaluation.  A
 box is an array of shape (n, 1), a batch of N boxes one of shape (n, N).
 ``Interval`` is the 0-d case, a single interval whose endpoints are
 checked when it is made; it has no formulas of its own.
+
+The last bits are numpy's: endpoints are chosen with ``np.minimum`` and
+``np.maximum`` (of two equal zeros, the second operand's), and powers come
+from ``np.power`` through ``float_power``, which also serves float and
+float-array payloads.  Both give the same bits for an entry at any
+position, stride or length, and as 0-d.
 """
 
 from __future__ import annotations
@@ -37,25 +43,36 @@ _FMAX = sys.float_info.max
 _SQRT_TOL = 1e-12
 
 
-def pow_each(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k entry by entry with Python's float power.
+def float_power(x, k: int):
+    """x**k for a float or a float array, by numpy's power.
 
-    numpy's power rounds differently from the C library's pow in the last
-    bit on a small share of inputs; using the scalar operator keeps batched
-    results equal to one-point float ones.
+    As Python's ``**`` does, a finite base whose power overflows raises
+    OverflowError (numpy would give inf with a warning).
     """
-    return np.array([v**k for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    try:
+        with np.errstate(over="raise"):
+            y = np.power(x, k, dtype=float)
+    except FloatingPointError as exc:
+        raise OverflowError(f"power {k} overflows") from exc
+    return y if isinstance(x, np.ndarray) else float(y)
+
+
+def float_sqrt(x):
+    """sqrt of a float or a float array, with values down to -_SQRT_TOL
+    taken as 0; DomainError below that."""
+    if np.any(x < -_SQRT_TOL):
+        raise DomainError("sqrt of a negative value")
+    y = np.sqrt(np.maximum(x, 0.0))
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
 def _down_each(x: np.ndarray) -> np.ndarray:
-    # x - _REL*|x|, which leaves zeros (with their sign) as they are; the
-    # clamp keeps infinities from turning into NaN
+    # x - _REL*|x|; the clamp keeps infinities from turning into NaN
     return x - np.minimum(_REL * np.abs(x), _FMAX)
 
 
 def _up_each(x: np.ndarray) -> np.ndarray:
-    # negated rather than x + _REL*|x|, which would turn -0.0 into +0.0
-    return -_down_each(-x)
+    return x + np.minimum(_REL * np.abs(x), _FMAX)
 
 
 def require_no_nan(*arrays):
@@ -65,28 +82,19 @@ def require_no_nan(*arrays):
         raise ValueError("interval endpoints must not be NaN")
 
 
-def _first_min(first, *rest):
-    """Entry-wise min(...) with Python's choice among equal values (the first)."""
-    out = first
-    for p in rest:
-        out = np.where(p < out, p, out)
-    return out
-
-
-def _first_max(first, *rest):
-    out = first
-    for p in rest:
-        out = np.where(p > out, p, out)
-    return out
+def _abs_ends(lo, hi):
+    """The endpoints of {|x| : lo <= x <= hi}."""
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
 
 
 class IntervalArray:
     """Intervals [lo[k], hi[k]] over float arrays, e.g. one entry per box.
 
     Every operation applies its endpoint formulas, inflation and special
-    cases element by element, so entry k of a result is bit for bit the
-    0-d (``Interval``) result for the k-th operands, whatever else is in
-    the array.  Operations that are undefined for any entry (division by a
+    cases element by element with numpy's elementwise operations, so
+    entry k of a result is bit for bit the 0-d (``Interval``) result for
+    the k-th operands, whatever else is in the array and however it is
+    laid out.  Operations that are undefined for any entry (division by a
     range containing zero, sqrt of a negative range) raise ``DomainError``
     for the whole array.
 
@@ -162,20 +170,15 @@ class IntervalArray:
 
     def __mul__(self, other):
         if isinstance(other, IntervalArray):
-            p1 = self.lo * other.lo
-            p2 = self.lo * other.hi
-            p3 = self.hi * other.lo
-            p4 = self.hi * other.hi
-            lo = _down_each(_first_min(p1, p2, p3, p4))
-            hi = _up_each(_first_max(p1, p2, p3, p4))
-            # the sum is NaN when a product is (0 * inf), and also when
-            # products of both infinite signs meet, whose hull is the whole line
-            whole = np.isnan(p1 + p2 + p3 + p4)
+            p = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+            lo = functools.reduce(np.minimum, p)
+            hi = functools.reduce(np.maximum, p)
+            whole = np.isnan(lo)  # a product is 0 * inf: the hull is the whole line
             if whole.any():
                 require_no_nan(self.lo, self.hi, other.lo, other.hi)
                 lo = np.where(whole, -math.inf, lo)
                 hi = np.where(whole, math.inf, hi)
-            return IntervalArray(lo, hi)
+            return IntervalArray(_down_each(lo), _up_each(hi))
         if isinstance(other, numbers.Real):
             c = float(other)
             if c >= 0.0:
@@ -190,13 +193,15 @@ class IntervalArray:
             require_no_nan(self.lo, self.hi, other.lo, other.hi)
             if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
                 raise DomainError("division by an interval containing zero in batch")
-            q1 = self.lo / other.lo
-            q2 = self.lo / other.hi
-            q3 = self.hi / other.lo
-            q4 = self.hi / other.hi
-            return IntervalArray(
-                _down_each(_first_min(q1, q2, q3, q4)), _up_each(_first_max(q1, q2, q3, q4))
-            )
+            q = [self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi]
+            lo = functools.reduce(np.minimum, q)
+            if np.isnan(lo).any():
+                # an inf/inf quotient takes no part in the hull: it is replaced
+                # by the first quotient of its entry that is a number, if any
+                fill = functools.reduce(lambda a, b: np.where(np.isnan(a), b, a), q)
+                q = [np.where(np.isnan(x), fill, x) for x in q]
+                lo = functools.reduce(np.minimum, q)
+            return IntervalArray(_down_each(lo), _up_each(functools.reduce(np.maximum, q)))
         if isinstance(other, numbers.Real):
             c = float(other)
             if c == 0.0:
@@ -215,25 +220,15 @@ class IntervalArray:
         return IntervalArray(-self.hi, -self.lo)
 
     def __abs__(self):
-        lo, hi = self.lo, self.hi
-        require_no_nan(lo, hi)
-        pos = lo >= 0.0
-        neg = hi <= 0.0
-        straddle_hi = np.where(hi > -lo, hi, -lo)
-        return IntervalArray(
-            np.where(pos, lo, np.where(neg, -hi, 0.0)),
-            np.where(pos, hi, np.where(neg, -lo, straddle_hi)),
-        )
+        require_no_nan(self.lo, self.hi)
+        return IntervalArray(*_abs_ends(self.lo, self.hi))
 
     def sqrt(self) -> "IntervalArray":
-        if np.any(self.lo < -_SQRT_TOL):
-            raise DomainError("sqrt of an interval with negative values in batch")
-        lo = np.where(0.0 > self.lo, 0.0, self.lo)
-        hi = np.where(0.0 > self.hi, 0.0, self.hi)
-        return IntervalArray(_down_each(np.sqrt(lo)), _up_each(np.sqrt(hi)))
+        return IntervalArray(_down_each(float_sqrt(self.lo)), _up_each(float_sqrt(self.hi)))
 
     def pow_int(self, k: int) -> "IntervalArray":
-        """Entry-wise Interval.pow_int, with the same even-power image rule."""
+        """x**k entry by entry; an even power is taken of |x|, whose lower
+        endpoint is 0 where the interval holds 0."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("pow_int exponent must be a non-negative integer")
         require_no_nan(self.lo, self.hi)
@@ -241,15 +236,8 @@ class IntervalArray:
             return self.constant(1.0)
         if k == 1:
             return IntervalArray(self.lo, self.hi)
-        if k % 2 == 0:
-            a_lo = np.abs(self.lo)
-            a_hi = np.abs(self.hi)
-            hi_mag = np.where(a_hi > a_lo, a_hi, a_lo)
-            lo_mag = np.where(
-                (self.lo <= 0.0) & (0.0 <= self.hi), 0.0, np.where(a_hi < a_lo, a_hi, a_lo)
-            )
-            return IntervalArray(_down_each(pow_each(lo_mag, k)), _up_each(pow_each(hi_mag, k)))
-        return IntervalArray(_down_each(pow_each(self.lo, k)), _up_each(pow_each(self.hi, k)))
+        lo, hi = _abs_ends(self.lo, self.hi) if k % 2 == 0 else (self.lo, self.hi)
+        return IntervalArray(_down_each(float_power(lo, k)), _up_each(float_power(hi, k)))
 
 
 class Interval(IntervalArray):
@@ -284,27 +272,6 @@ class Interval(IntervalArray):
 
     def __hash__(self) -> int:
         return hash((float(self.lo), float(self.hi)))
-
-    def contains(self, x: float) -> bool:
-        return bool(self.lo <= x <= self.hi)
-
-    def encloses(self, other: "Interval") -> bool:
-        return bool(self.lo <= other.lo and other.hi <= self.hi)
-
-    def intersects(self, other: "Interval") -> bool:
-        return bool(self.lo <= other.hi and other.lo <= self.hi)
-
-    @property
-    def width(self) -> float:
-        return float(self.hi - self.lo)
-
-    @property
-    def mid(self) -> float:
-        return float(0.5 * (self.lo + self.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 def _checked(op):

@@ -24,7 +24,7 @@ from .errors import ConfigError, LyapcertError, NotLocallyStableError
 from .geometry import SampleRecord
 from .levelset import LevelEstimate, estimate_level
 from .localyap import LocalCertificate, common_lyapunov, linearize, verify_local
-from .system import CONTINUOUS, validate_coverage
+from .system import CONTINUOUS, CandidateV, validate_coverage
 from .verifier import (
     Certificate,
     WDescription,
@@ -135,15 +135,6 @@ def _matrix(value, n) -> bool:
     )
 
 
-def _positive_definite(rows) -> bool:
-    P = np.array(rows, dtype=float)
-    return bool(
-        np.all(np.isfinite(P))
-        and np.allclose(P, P.T, atol=1e-10)
-        and np.min(np.linalg.eigvalsh(P)) > 0.0
-    )
-
-
 def _read_local(local: dict, n: Optional[int]):
     """Check a verified `local` section for what _load_local reads."""
     P_L = local.get("P_L")
@@ -151,8 +142,12 @@ def _read_local(local: dict, n: Optional[int]):
     A_lin = local.get("A_lin")
     if not (isinstance(A_lin, list) and A_lin and all(_matrix(A, n) for A in A_lin)):
         raise ConfigError("malformed report: local A_lin needs dim x dim number matrices")
-    if not (_matrix(P_L, n) and _positive_definite(P_L)):
-        raise ConfigError("malformed report: local P_L is not a positive definite dim x dim matrix")
+    if not _matrix(P_L, n):
+        raise ConfigError("malformed report: local P_L is not a dim x dim number matrix")
+    try:
+        CandidateV.check_P(P_L)
+    except ValueError as exc:
+        raise ConfigError(f"malformed report: local P_L: {exc}") from exc
     if not (_numbers(local.get("N1_lo"), n) and _numbers(local.get("N1_hi"), n)):
         raise ConfigError("malformed report: local N1_lo, N1_hi need dim numbers")
     if not _numbers([local.get("level_L")], 1):

