@@ -14,10 +14,20 @@ a chain rule costs a fixed number of array operations whatever n is.
 Each entry is computed from the same operands in the same order as the
 entry-by-entry formula, so the stacked results are bit for bit the
 per-entry ones.
+
+A plain number is never lifted into a dual.  Its derivatives are exactly
+zero, so ``d ± c`` shifts only the value, ``c - d`` negates the derivative
+parts, and ``d * c``, ``c * d`` and ``d / c`` scale the value, gradient
+and Hessian by c through the payload's own rule for a float operand.  The
+terms that lifting would add (``± 0`` and products with zero derivatives)
+are exact zeros, so dropping them leaves each enclosure as sound and at
+most as wide: an interval payload only loses the outward inflation of
+those terms.  Only ``c / d`` lifts c, as its derivatives are not c's.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -51,19 +61,27 @@ class Dual:
         return self.lift(other)
 
     def __add__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual(self.value + other, self.grad)
         o = self._coerce(other)
         return Dual(self.value + o.value, tuple(a + b for a, b in zip(self.grad, o.grad)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual(self.value - other, self.grad)
         o = self._coerce(other)
         return Dual(self.value - o.value, tuple(a - b for a, b in zip(self.grad, o.grad)))
 
     def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual(other - self.value, tuple(-g for g in self.grad))
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual(self.value * other, tuple(g * other for g in self.grad))
         o = self._coerce(other)
         v, w = self.value, o.value
         return Dual(v * w, tuple(v * gb + w * ga for ga, gb in zip(self.grad, o.grad)))
@@ -71,6 +89,8 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual(div_(self.value, other), tuple(div_(g, other) for g in self.grad))
         o = self._coerce(other)
         q = div_(self.value, o.value)
         return Dual(q, tuple(div_(ga - q * gb, o.value) for ga, gb in zip(self.grad, o.grad)))
@@ -141,19 +161,27 @@ class Dual2:
         return self.lift(other)
 
     def __add__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual2(self.value + other, self.grad, self.hess)
         o = self._coerce(other)
         return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual2(self.value - other, self.grad, self.hess)
         o = self._coerce(other)
         return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
 
     def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual2(other - self.value, -self.grad, -self.hess)
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual2(self.value * other, self.grad * other, self.hess * other)
         o = self._coerce(other)
         I, J, _ = tril(len(self.grad))
         v, w = self.value, o.value
@@ -164,6 +192,8 @@ class Dual2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return Dual2(div_(self.value, other), div_(self.grad, other), div_(self.hess, other))
         # from f = q*g: q'' = (f'' - q'⊗g' - g'⊗q' - q*g'') / g
         o = self._coerce(other)
         I, J, _ = tril(len(self.grad))
@@ -206,7 +236,7 @@ class Dual2:
             return self
         I, J, _ = tril(len(self.grad))
         u = k * pow_(self.value, k - 1)
-        w = lift_like(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
+        w = 2.0 if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
         g = u * self.grad
         h = u * self.hess + w * (self.grad[I] * self.grad[J])
         return Dual2(pow_(self.value, k), g, h)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -164,14 +165,16 @@ class RunConfig:
         euler_h = sys_spec.get("euler_h")
         if mode == CONTINUOUS and euler_h is None:
             raise ConfigError("continuous systems need euler_h for the discrete pipeline")
-        if euler_h is not None and not (float(euler_h) > 0.0):
-            raise ConfigError("euler_h must be positive")
+        if euler_h is not None and not (0.0 < float(euler_h) < math.inf):
+            raise ConfigError("euler_h must be positive and finite")
 
         equilibrium = sys_spec.get("equilibrium")
         if equilibrium is not None:
             equilibrium = np.asarray(equilibrium, dtype=float)
             if equilibrium.shape != (dim,):
                 raise ConfigError("equilibrium must match the system dimension")
+            if not np.all(np.isfinite(equilibrium)):
+                raise ConfigError("equilibrium must have finite entries")
 
         regions_src = sys_spec["regions"]
         if not regions_src:

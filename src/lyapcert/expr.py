@@ -10,11 +10,13 @@ numpy arrays, interval arrays, and first/second-order dual numbers.  The grammar
     atom    := NUMBER | 'x1'..'xN' | 'sqrt' '(' expr ')'
              | 'abs' '(' expr ')' | '(' expr ')'
 
-Numbers may use scientific notation; whitespace is ignored.
+Numbers may use scientific notation and must be finite; whitespace is
+ignored.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -221,7 +223,10 @@ class _Parser:
             raise ParseError("unexpected end of input", self._eof_column())
         kind, text, col = tok
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):  # a constant scales enclosures, so it must be a number
+                raise ParseError(f"number {text!r} is not finite", col)
+            return Const(value)
         if kind == "ident":
             if text in ("sqrt", "abs"):
                 open_tok = self._next()

@@ -174,17 +174,21 @@ class IntervalArray:
             lo = functools.reduce(np.minimum, p)
             hi = functools.reduce(np.maximum, p)
             whole = np.isnan(lo)  # a product is 0 * inf: the hull is the whole line
-            if whole.any():
-                require_no_nan(self.lo, self.hi, other.lo, other.hi)
-                lo = np.where(whole, -math.inf, lo)
-                hi = np.where(whole, math.inf, hi)
-            return IntervalArray(_down_each(lo), _up_each(hi))
-        if isinstance(other, numbers.Real):
+            operands = (self.lo, self.hi, other.lo, other.hi)
+        elif isinstance(other, numbers.Real):
             c = float(other)
-            if c >= 0.0:
-                return IntervalArray(_down_each(self.lo * c), _up_each(self.hi * c))
-            return IntervalArray(_down_each(self.hi * c), _up_each(self.lo * c))
-        return NotImplemented
+            lo, hi = (self.lo * c, self.hi * c) if c >= 0.0 else (self.hi * c, self.lo * c)
+            if c != 0.0 and math.isfinite(c):  # no 0 * inf
+                return IntervalArray(_down_each(lo), _up_each(hi))
+            whole = np.isnan(lo) | np.isnan(hi)  # as for the point interval [c, c]
+            operands = (self.lo, self.hi, c)
+        else:
+            return NotImplemented
+        if whole.any():
+            require_no_nan(*operands)
+            lo = np.where(whole, -math.inf, lo)
+            hi = np.where(whole, math.inf, hi)
+        return IntervalArray(_down_each(lo), _up_each(hi))
 
     __rmul__ = __mul__
 

@@ -228,9 +228,10 @@ class RefInterval:
             return RefInterval(_down(_least(p1, p2, p3, p4)), _up(_greatest(p1, p2, p3, p4)))
         if isinstance(other, numbers.Real):
             c = float(other)
-            if c >= 0.0:
-                return RefInterval(_down(self.lo * c), _up(self.hi * c))
-            return RefInterval(_down(self.hi * c), _up(self.lo * c))
+            lo, hi = (self.lo * c, self.hi * c) if c >= 0.0 else (self.hi * c, self.lo * c)
+            if not math.isnan(c) and (math.isnan(lo) or math.isnan(hi)):
+                return RefInterval(-math.inf, math.inf)  # 0 * inf, as for a point interval
+            return RefInterval(_down(lo), _up(hi))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -17,6 +17,7 @@ library's Dual2 stacks them, and must give every entry the same bits.
 """
 
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapcert import CandidateV, HyperRect, RunConfig, parse_expr
-from lyapcert.ad import Dual2, dual2_seeds, tril
+from lyapcert.ad import Dual, Dual2, dual2_seeds, tril
 from lyapcert.bounds import (
     BoundCoefficients,
     BranchBounds,
@@ -156,7 +157,14 @@ class TupleDual2:
             return other
         return self.lift(other)
 
+    def _map(self, value, f):
+        """value with f applied to every gradient and Hessian entry."""
+        h = tuple(tuple(f(x) for x in row) for row in self.hess)
+        return TupleDual2(value, tuple(f(x) for x in self.grad), h)
+
     def __add__(self, other):
+        if isinstance(other, numbers.Real):
+            return TupleDual2(self.value + other, self.grad, self.hess)
         o = self._coerce(other)
         g = tuple(a + b for a, b in zip(self.grad, o.grad))
         h = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess))
@@ -165,15 +173,21 @@ class TupleDual2:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, numbers.Real):
+            return TupleDual2(self.value - other, self.grad, self.hess)
         o = self._coerce(other)
         g = tuple(a - b for a, b in zip(self.grad, o.grad))
         h = tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(self.hess, o.hess))
         return TupleDual2(self.value - o.value, g, h)
 
     def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            return self._map(other - self.value, lambda x: -x)
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return self._map(self.value * other, lambda x: x * other)
         o = self._coerce(other)
         n = len(self.grad)
         v, w = self.value, o.value
@@ -193,6 +207,8 @@ class TupleDual2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return self._map(div_(self.value, other), lambda x: div_(x, other))
         o = self._coerce(other)
         n = len(self.grad)
         q = div_(self.value, o.value)
@@ -241,7 +257,7 @@ class TupleDual2:
             return self
         n = len(self.grad)
         u = k * pow_(self.value, k - 1)
-        w = ref_lift(self.value, 2.0) if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
+        w = 2.0 if k == 2 else (k * (k - 1)) * pow_(self.value, k - 2)
         g = tuple(u * gi for gi in self.grad)
         rows = [
             [u * self.hess[i][j] + w * (self.grad[i] * self.grad[j]) for j in range(i + 1)]
@@ -562,6 +578,11 @@ def test_interval_array_zero_times_inf():
     _check_batched(BINARY["mul"], pairs)
     whole = interval_array([0.0], [0.0]) * interval_array([-inf], [inf])
     assert whole.lo[0] == -inf and whole.hi[0] == inf
+    # a float operand 0 is the point interval [0, 0]
+    for x, c in [(interval_array([1.0], [inf]), 0.0), (interval_array([-inf], [0.0]), -0.0)]:
+        assert same_interval(x * c, x * x.constant(c)) and same_interval(c * x, x * c)
+    with pytest.raises(ValueError):
+        interval_array([0.0], [1.0]) * math.nan
 
 
 # inputs on which numpy's power and the C library's pow round differently
@@ -810,6 +831,66 @@ def test_stacked_dual2_errors(text, other, center, delta, error):
     assert_stacked_matches(expr, payloads)
 
 
+# a plain number against a dual, and the same operation against the number
+# lifted into a dual with zero derivatives
+CONSTANT_OPS = {
+    "d*c": (lambda d, c: d * c, lambda d, c: d * d.lift(c)),
+    "c*d": (lambda d, c: c * d, lambda d, c: d.lift(c) * d),
+    "d+c": (lambda d, c: d + c, lambda d, c: d + d.lift(c)),
+    "d-c": (lambda d, c: d - c, lambda d, c: d - d.lift(c)),
+    "c-d": (lambda d, c: c - d, lambda d, c: d.lift(c) - d),
+    "d/c": (lambda d, c: d / c, lambda d, c: d / d.lift(c)),
+}
+
+finite_constants = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _constant_outcomes(d, c):
+    """Each CONSTANT_OPS entry as (plain, lifted) results or errors."""
+    return {
+        name: tuple(dual2_outcome(lambda s: op(s, c), d) for op in ops)
+        for name, ops in CONSTANT_OPS.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), finite_constants, st.integers(0, 2**32 - 1), st.booleans())
+def test_constant_rules_within_lifted_rules(n, c, seed, overflowed):
+    """A plain number scales or shifts a dual; every value, gradient and
+    Hessian entry lies inside the lifted rule's, and over float payloads
+    the value has the lifted rule's bits."""
+    rng = np.random.default_rng(seed)
+    scale = float(rng.choice([1.0, 1e40, 1e70]))
+    N = 4
+    d = Dual2(
+        random_payloads(rng, 1, N, scale)[0],
+        random_payloads(rng, n, N, scale),
+        random_payloads(rng, n * (n + 1) // 2, N, scale),
+    )
+    if overflowed:  # the first box's value and gradient as after an overflow
+        d.value.hi[0] = d.grad.hi[0, 0] = math.inf
+    for name, (got, ref) in _constant_outcomes(d, c).items():
+        if isinstance(ref, Exception):  # d / 0 and d / -0
+            assert name == "d/c" and c == 0.0
+            assert isinstance(got, DomainError) and isinstance(ref, DomainError)
+            continue
+        for part in ("value", "grad", "hess"):
+            g, r = getattr(got, part), getattr(ref, part)
+            assert not np.isnan(g.lo).any() and not np.isnan(g.hi).any(), (name, part)
+            assert np.all(r.lo <= g.lo) and np.all(g.hi <= r.hi), (name, part)
+    x = rng.uniform(-2.0, 2.0, (n, N)) * scale
+    for name, (got, ref) in _constant_outcomes(Dual(x[0], tuple(x)), c).items():
+        if isinstance(ref, Exception):
+            assert name == "d/c" and c == 0.0 and isinstance(got, DomainError)
+            continue
+        assert same_floats(got.value, ref.value), name
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_stacked_dual2_under_first_order_duals(n):
     """The flow map nests first-order duals over second-order ones."""
@@ -920,9 +1001,16 @@ def test_assess_boxes_zero_times_inf_in_map(method, pairing):
             assess_branch(fmap, far, method, pairing)
     else:
         _assert_assessment_matches(fmap, [far, near], method, pairing)
-    # over [9e69, 1.1e70] both endpoints overflow and inf - inf follows:
-    # the scalar path refuses the NaN endpoint, and so does the batch
+    # over [9e69, 1.1e70] both endpoints of x^5 overflow: the map, its
+    # gradient and its Hessian are +inf there, in the batch as in the
+    # scalar path, and the box cannot certify
     both = HyperRect([1e70], [1e69, -1e69])
+    batched, _ = _assert_assessment_matches(fmap, [near, both], method, pairing)
+    assert batched[1].value == math.inf
+    # x^5 - x^5 over it is inf - inf: the scalar path refuses the NaN
+    # endpoint, and so does the batch
+    twice = _field(1, "x1*x1*x1*x1*x1 - x1*x1*x1*x1*x1")
+    fmap = DecreaseMap(PiecewiseSystem(1, "discrete", (Region((), twice),)), fmap.V, 1, (0,))
     with pytest.raises(ValueError):
         scalar_assess(fmap, both)
     with pytest.raises(ValueError):

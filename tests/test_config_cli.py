@@ -212,6 +212,20 @@ MALFORMED = {
     "P-local-not-finite": ("search", "P_local", [[1e309]]),
     "S-not-finite": ("search", "S", {"lo": [-1.0], "hi": [1e309]}),
     "N1-not-finite": ("search", "N1", {"lo": [-0.5], "hi": [1e309]}),
+    "euler-h-not-finite": ("system", "euler_h", 1e309),
+    "equilibrium-not-finite": ("system", "equilibrium", [1e309]),
+    "field-constant-not-finite": ("system", "regions", [{"guards": [], "field": ["1e309*x1"]}]),
+    "guard-constant-not-finite": ("system", "regions", [{"guards": ["x1 < 1e309"], "field": ["x1"]}]),
+}
+
+# what the error line of a malformed config names
+MALFORMED_NAMES = {
+    "S-not-finite": "bad box spec for S:",
+    "N1-not-finite": "bad box spec for N1:",
+    "euler-h-not-finite": "euler_h",
+    "equilibrium-not-finite": "equilibrium",
+    "field-constant-not-finite": "bad field expression '1e309*x1'",
+    "guard-constant-not-finite": "bad guard 'x1 < 1e309'",
 }
 
 
@@ -237,8 +251,7 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, kind):
     assert cli_main(["verify-dt", str(path), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if kind in ("S-not-finite", "N1-not-finite"):
-        assert f"bad box spec for {kind.split('-')[0]}:" in err  # the message names the box
+    assert MALFORMED_NAMES.get(kind, "") in err
 
 
 def test_workers_accepted_without_effect(tmp_path, capsys):
