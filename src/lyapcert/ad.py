@@ -23,6 +23,11 @@ terms that lifting would add (``± 0`` and products with zero derivatives)
 are exact zeros, so dropping them leaves each enclosure as sound and at
 most as wide: an interval payload only loses the outward inflation of
 those terms.  Only ``c / d`` lifts c, as its derivatives are not c's.
+
+Over batched payloads a failed entry is NaN in some part of the dual,
+and no rule turns it back into a number: ``abs`` is taken entry by entry
+(NaN where the sign is not known), and ``d^0`` scales the derivative
+parts of d by 0 instead of lifting 1.
 """
 
 from __future__ import annotations
@@ -34,7 +39,21 @@ import numpy as np
 
 from .errors import DomainError
 from .interval import IntervalArray
-from .scalars import div_, full_like, lift_like, pow_, sqrt_, stack_like, strict_sign
+from .scalars import div_, full_like, lift_like, pow_, signs, sqrt_, stack_like, where_
+
+
+def _abs(d):
+    """|d| for a dual number: d where its value is positive and -d where
+    negative, entry by entry; NaN in an entry whose sign is not known (a
+    plain value raises DomainError)."""
+    pos, neg = signs(d.value)
+    if np.all(pos):
+        return d
+    if np.all(neg):
+        return -d
+    if np.ndim(pos) == 0:
+        raise DomainError("abs is not differentiable at a sign change")
+    return where_(pos, d, where_(neg, -d, d * np.nan))
 
 
 class Dual:
@@ -101,11 +120,7 @@ class Dual:
     def __neg__(self):
         return Dual(-self.value, tuple(-g for g in self.grad))
 
-    def __abs__(self):
-        s = strict_sign(self.value)
-        if s is None:
-            raise DomainError("abs is not differentiable at a sign change")
-        return self if s > 0 else -self
+    __abs__ = _abs
 
     def sqrt(self):
         s = sqrt_(self.value)
@@ -113,7 +128,7 @@ class Dual:
 
     def pow_int(self, k: int):
         if k == 0:
-            return self.lift(1.0)
+            return Dual(pow_(self.value, 0), tuple(g * 0.0 for g in self.grad))
         if k == 1:
             return self
         u = k * pow_(self.value, k - 1)
@@ -208,30 +223,20 @@ class Dual2:
     def __neg__(self):
         return Dual2(-self.value, -self.grad, -self.hess)
 
-    def __abs__(self):
-        s = strict_sign(self.value)
-        if s is None:
-            raise DomainError("abs is not differentiable at a sign change")
-        return self if s > 0 else -self
+    __abs__ = _abs
 
     def sqrt(self):
         # from f = s^2: s'' = (f'' - 2 s'⊗s') / (2 s)
         I, J, _ = tril(len(self.grad))
         s = sqrt_(self.value)
         two_s = s + s
-        try:
-            sg = div_(self.grad, two_s)
-        except ValueError:
-            # a NaN endpoint in some entry; divided entry by entry, the
-            # first entry meets a divisor containing zero before it
-            div_(self.grad[0], two_s)
-            raise
+        sg = div_(self.grad, two_s)
         p = sg[I] * sg[J]
         return Dual2(s, sg, div_(self.hess - (p + p), two_s))
 
     def pow_int(self, k: int):
         if k == 0:
-            return self.lift(1.0)
+            return Dual2(pow_(self.value, 0), self.grad * 0.0, self.hess * 0.0)
         if k == 1:
             return self
         I, J, _ = tril(len(self.grad))

@@ -27,13 +27,14 @@ import numpy as np
 from .ad import Dual, Dual2, dual_seeds, dual2_seeds, hessian_of
 from .errors import LyapcertError
 from .geometry import BoxArray, HyperRect, interval_batch
-from .interval import Interval, IntervalArray, require_no_nan
+from .interval import Interval, IntervalArray
 from .system import (
     CandidateV,
     DomainExit,
     PiecewiseSystem,
     _one,
     apply_field,
+    domain_errors,
     enumerate_boxes_branches,
     point_trajectories,
     quad_form,
@@ -106,19 +107,13 @@ class _BranchMap:
     `branch` is one region sequence (a tuple), or an (R, steps) int matrix
     whose row k fixes the regions of entry k of batched payloads of R
     entries.  One row serves a batch of any size, and plain floats
-    (`value`, `value_and_grad`).  Each step runs through apply_field,
-    so entry k is bit for bit what the one-row map of its sequence gives
-    for it alone, or the pass raises DomainError (stitch_rows).
+    (`value`).  Each step runs through apply_field, so entry k is bit for
+    bit what the one-row map of its sequence gives for it alone, a NaN
+    where that fails.
     """
 
     def value(self, x) -> float:
         return float(self._eval([float(v) for v in x]))
-
-    def value_and_grad(self, x):
-        out = self._eval(dual_seeds([float(v) for v in x]))
-        if not isinstance(out, Dual):
-            return float(out), np.zeros(len(x))
-        return float(out.value), np.array(out.grad, dtype=float)
 
     def interval_value(self, ivec):
         """Enclosures of the map over N boxes (an IntervalArray of shape
@@ -248,10 +243,11 @@ def assess_boxes(fmap, boxes, with_range: bool = False) -> list:
     box; the coefficients of all boxes are reduced at once, each row with
     the operations of gradient_coefficient and remainder_bound.  Entry k is bit for
     bit what assess_branch gives for boxes[k] alone, so a result never
-    depends on the other boxes of the batch.  A DomainError anywhere in the
-    batch is raised for the whole batch.  With `with_range`, entry k is
-    (assessment, (lo, hi)): the map's enclosure over the box, the value
-    part of the Hessian's dual pass.
+    depends on the other boxes of the batch.  A box whose value, gradient
+    or Hessian (or, with `with_range`, enclosure) holds a NaN gets a
+    DomainError as its entry.  With `with_range`, entry k is (assessment,
+    (lo, hi)): the map's enclosure over the box, the value part of the
+    Hessian's dual pass.
     """
     boxes = BoxArray.of(boxes)
     ivec = interval_batch(boxes)
@@ -262,23 +258,26 @@ def assess_boxes(fmap, boxes, with_range: bool = False) -> list:
         else:
             hess = fmap.interval_hessian(ivec)
         mags = hess.magnitude()
-        require_no_nan(hess.lo, hess.hi)
         a = gradient_coefficients(grads)
         b = remainder_bounds(mags, boxes.tau)
+    failed = np.isnan(values) | np.isnan(a) | np.isnan(mags).any(axis=(1, 2))
     out = [
         BranchBounds(value, BoundCoefficients(ak, bk))
         for value, ak, bk in zip(values.tolist(), a.tolist(), b.tolist())
     ]
-    if not with_range:
-        return out
-    require_no_nan(rng.lo, rng.hi)
-    return list(zip(out, zip(rng.lo.tolist(), rng.hi.tolist())))
+    if with_range:
+        failed |= np.isnan(rng.lo) | np.isnan(rng.hi)
+        out = list(zip(out, zip(rng.lo.tolist(), rng.hi.tolist())))
+    for k, exc in domain_errors(failed).items():
+        out[k] = exc
+    return out
 
 
 # `method` and `pairing` are accepted and ignored: bench/micro.py passes them
 def assess_branch(fmap, box: HyperRect, method=None, pairing=None) -> BranchBounds:
-    """Sample value and variation coefficients of one branch over one box."""
-    return assess_boxes(fmap, [box])[0]
+    """Sample value and variation coefficients of one branch over one box;
+    raises the box's DomainError where its evaluation fails."""
+    return _one(assess_boxes(fmap, [box])[0])
 
 
 def assess_ranges(fmap, boxes) -> list:
@@ -287,70 +286,34 @@ def assess_ranges(fmap, boxes) -> list:
 
 
 def interval_values(fmap, boxes) -> list:
-    """(lo, hi) of the map's interval enclosure over each box, in one batch."""
+    """(lo, hi) of the map's interval enclosure over each box, in one
+    batch; a DomainError for a box whose enclosure holds a NaN."""
     rng = fmap.interval_value(interval_batch(boxes))
-    require_no_nan(rng.lo, rng.hi)
-    return list(zip(rng.lo.tolist(), rng.hi.tolist()))
-
-
-def batch_or_each(batch, items: Sequence, errors, group=None) -> list:
-    """batch(items), or, when that raises one of `errors`, the results of
-    smaller batches: one per distinct group(item) in order of first
-    appearance when `group` is given, and halves of any batch that still
-    raises, down to single items.  An item that raises one of `errors`
-    alone has the error in place of its result; [] for no items, without a
-    call.
-
-    Results are per item and independent of the batch's makeup, so the
-    retry changes which items fail, not the results of the others.
-    """
-    if not items:
-        return []
-    try:
-        return batch(items)
-    except errors as exc:
-        if len(items) == 1:
-            return [exc]
-    parts = {}
-    for i, item in enumerate(items):
-        parts.setdefault(group(item) if group is not None else None, []).append(i)
-    if len(parts) == 1:
-        half = len(items) // 2
-        parts = {0: range(half), 1: range(half, len(items))}
-    out = [None] * len(items)
-    for idx in parts.values():
-        for i, res in zip(idx, batch_or_each(batch, [items[i] for i in idx], errors)):
-            out[i] = res
+    out = list(zip(rng.lo.tolist(), rng.hi.tolist()))
+    for k, exc in domain_errors(np.isnan(rng.lo) | np.isnan(rng.hi)).items():
+        out[k] = exc
     return out
 
 
-def on_rows(ctx, boxes: BoxArray, rows: Sequence, errors, evaluation) -> list:
-    """evaluation(ctx.map_for(branches), row boxes) over the (box index,
-    branch) pairs `rows` as one batch, through batch_or_each with `errors`,
-    retried per branch sequence."""
-
-    def batch(part):
-        return evaluation(ctx.map_for([seq for _, seq in part]), boxes.take([k for k, _ in part]))
-
-    return batch_or_each(batch, rows, errors, group=lambda row: row[1])
-
-
-def by_branch(ctx, boxes, errors, *evaluations):
+def by_branch(ctx, boxes, *evaluations):
     """ctx.boxes_branches(boxes), and for each (box index, branch) one
     result per evaluation, evaluation(branch map, boxes), for boxes a
     BoxArray or HyperRects.
 
     The (box, branch) pairs of the pass are the rows of one branch map,
-    ctx.map_for(branches), and each evaluation runs once over all of them
-    (on_rows): a failed result is its error and leaves the box's other
+    ctx.map_for(branches), and each evaluation runs once over all of them:
+    a failed row's result is its DomainError and leaves the box's other
     results in place.  Rows are independent, so a result does not depend
     on the rest of the pass.  A box whose branches could not be enumerated
-    has no keys."""
+    has no keys; a pass with no keys makes no call."""
     boxes = BoxArray.of(boxes)
     branches = ctx.boxes_branches(boxes)
     live = [(k, seqs) for k, seqs in enumerate(branches) if not isinstance(seqs, Exception)]
     keys = [(k, seq) for k, seqs in live for seq in seqs]
-    found = [on_rows(ctx, boxes, keys, errors, evaluation) for evaluation in evaluations]
+    if not keys:
+        return branches, {}
+    fmap, rows = ctx.map_for([seq for _, seq in keys]), boxes.take([k for k, _ in keys])
+    found = [evaluation(fmap, rows) for evaluation in evaluations]
     return branches, dict(zip(keys, zip(*found)))
 
 
@@ -377,7 +340,7 @@ def w_point_value(dsys: PiecewiseSystem, V: CandidateV, M: int, x) -> float:
 
 
 # failures that leave a W bound or enclosure of a box undetermined
-_W_ERRORS = (LyapcertError, DomainExit, OverflowError)
+_W_ERRORS = (LyapcertError, DomainExit)
 
 # most pieces a box is cut into for its W bound; a box that would need more
 # gets no bound (None), like a box whose bound cannot be computed
@@ -497,11 +460,14 @@ class WContext:
 
     def _piece_bounds(self, boxes: BoxArray) -> list:
         """Per piece, the larger of the sample bound and the enclosure's
-        lower end, both from one dual pass; a row whose assessment fails
-        takes its enclosure from the plain interval evaluation."""
-        branches, found = by_branch(self, boxes, _W_ERRORS, assess_ranges)
+        lower end, both from one dual pass; the rows whose assessment fails
+        take their enclosures from one plain interval evaluation."""
+        branches, found = by_branch(self, boxes, assess_ranges)
         failed = [key for key, (res,) in found.items() if isinstance(res, _W_ERRORS)]
-        plain = dict(zip(failed, on_rows(self, boxes, failed, _W_ERRORS, interval_values)))
+        plain = {}
+        if failed:
+            fmap = self.map_for([seq for _, seq in failed])
+            plain = dict(zip(failed, interval_values(fmap, boxes.take([k for k, _ in failed]))))
         radius = boxes.radius.tolist()
         out = []
         for k, seqs in enumerate(branches):
@@ -528,7 +494,7 @@ class WContext:
     def interval_values_over_boxes(self, boxes) -> list:
         """Per box (a BoxArray, or HyperRects), the hull of the interval images over all feasible
         branches (None on failure), in one batch."""
-        branches, found = by_branch(self, boxes, _W_ERRORS, interval_values)
+        branches, found = by_branch(self, boxes, interval_values)
         out = []
         for k, seqs in enumerate(branches):
             ranges = [] if isinstance(seqs, Exception) else [found[k, seq][0] for seq in seqs]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,20 +82,9 @@ class HyperRect:
             np.all(d <= self.hi_offsets + 0.0) and np.all(d >= self.lo_offsets)
         )
 
-    def encloses(self, other: "HyperRect") -> bool:
-        return bool(
-            np.all(other.lower >= self.lower - 1e-12)
-            and np.all(other.upper <= self.upper + 1e-12)
-        )
-
     def to_interval_vector(self) -> IntervalArray:
         """The box as a batch of one: an IntervalArray of shape (n, 1)."""
         return interval_batch([self])
-
-    def vertices(self) -> Iterable[np.ndarray]:
-        offs = [(self.hi_offsets[i], self.lo_offsets[i]) for i in range(self.n)]
-        for choice in itertools.product(*offs):
-            yield self.center + np.array(choice)
 
     def __repr__(self) -> str:
         return f"HyperRect(center={self.center.tolist()}, delta={self.delta.tolist()})"

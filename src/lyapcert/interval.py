@@ -17,6 +17,15 @@ box is an array of shape (n, 1), a batch of N boxes one of shape (n, N).
 ``Interval`` is the 0-d case, a single interval whose endpoints are
 checked when it is made; it has no formulas of its own.
 
+An entry that fails is NaN, and the other entries go on (IEEE 754-2008
+section 7: a flag on the result, not a trap).  Over float arrays, and over
+interval arrays of any ndim, a power that overflows from a finite base,
+sqrt below its domain and division by zero (or by a range containing it)
+make NaN entries, and no operation turns a NaN back into a number; the
+batched drivers read the failed rows from their results.  Plain numbers
+and ``Interval`` raise instead: DomainError, the OverflowError of a power,
+and the ValueError of a NaN endpoint.
+
 The last bits are numpy's: endpoints are chosen with ``np.minimum`` and
 ``np.maximum`` (of two equal zeros, the second operand's), and powers come
 from ``np.power`` through ``float_power``, which also serves float and
@@ -46,22 +55,32 @@ _SQRT_TOL = 1e-12
 def float_power(x, k: int):
     """x**k for a float or a float array, by numpy's power.
 
-    As Python's ``**`` does, a finite base whose power overflows raises
-    OverflowError (numpy would give inf with a warning).
+    A finite base whose power overflows raises OverflowError for a float,
+    as Python's ``**`` does, and is NaN in an array (numpy would give inf
+    with a warning).  NaN**0 stays NaN in an array.
     """
+    if k == 0 and isinstance(x, np.ndarray):
+        return np.where(np.isnan(x), np.nan, 1.0)
     try:
         with np.errstate(over="raise"):
             y = np.power(x, k, dtype=float)
     except FloatingPointError as exc:
-        raise OverflowError(f"power {k} overflows") from exc
+        if not isinstance(x, np.ndarray):
+            raise OverflowError(f"power {k} overflows") from exc
+        with np.errstate(over="ignore"):
+            y = np.power(x, k, dtype=float)
+        return np.where(np.isinf(y) & np.isfinite(x), np.nan, y)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
 def float_sqrt(x):
     """sqrt of a float or a float array, with values down to -_SQRT_TOL
-    taken as 0; DomainError below that."""
-    if np.any(x < -_SQRT_TOL):
-        raise DomainError("sqrt of a negative value")
+    taken as 0; below that DomainError for a float, NaN in an array."""
+    below = x < -_SQRT_TOL
+    if np.any(below):
+        if not isinstance(x, np.ndarray):
+            raise DomainError("sqrt of a negative value")
+        x = np.where(below, np.nan, x)
     y = np.sqrt(np.maximum(x, 0.0))
     return y if isinstance(x, np.ndarray) else float(y)
 
@@ -75,11 +94,9 @@ def _up_each(x: np.ndarray) -> np.ndarray:
     return x + np.minimum(_REL * np.abs(x), _FMAX)
 
 
-def require_no_nan(*arrays):
-    """Refuse NaN endpoints (inf - inf after an overflow) with the
-    ValueError that the Interval constructor raises for one."""
-    if any(np.isnan(a).any() for a in arrays):
-        raise ValueError("interval endpoints must not be NaN")
+def _any_nan(*arrays):
+    """Per entry (broadcast): does any of the arrays hold a NaN there?"""
+    return functools.reduce(np.logical_or, map(np.isnan, arrays))
 
 
 def _abs_ends(lo, hi):
@@ -94,17 +111,16 @@ class IntervalArray:
     cases element by element with numpy's elementwise operations, so
     entry k of a result is bit for bit the 0-d (``Interval``) result for
     the k-th operands, whatever else is in the array and however it is
-    laid out.  Operations that are undefined for any entry (division by a
-    range containing zero, sqrt of a negative range) raise ``DomainError``
-    for the whole array.
+    laid out.  An entry that is undefined (division by a range containing
+    zero, sqrt of a negative range, a power that overflows from a finite
+    base) is NaN, where the 0-d ``Interval`` raises.
 
     Unlike ``Interval``, the constructor does not check for NaN endpoints
-    (inf - inf after an overflow).  Instead no operation turns a NaN
-    endpoint into a number: those that could (``*``, ``/``, ``abs``,
-    ``pow_int``) raise ValueError for an operand that holds one, and the
-    batched drivers refuse a result that holds one.  So a batch raises
-    ValueError whenever an ``Interval`` evaluation would for one of its
-    entries.
+    (inf - inf after an overflow, or a failed entry).  Instead no operation
+    turns a NaN endpoint into a number: the whole-line rule of ``*``, the
+    inf/inf rule of ``/`` and ``pow_int(0)`` leave such an entry NaN.  So an
+    entry holds a NaN endpoint whenever an ``Interval`` evaluation of it
+    raises, and the other entries are what they would be alone.
     The arrays are never modified in place, so results may share them.
     Indexing and iteration run over the first axis: an array of shape
     (n, N) is a batch of N boxes seen as n coordinate intervals.
@@ -185,7 +201,7 @@ class IntervalArray:
         else:
             return NotImplemented
         if whole.any():
-            require_no_nan(*operands)
+            whole &= ~_any_nan(*operands)  # an operand's NaN stays NaN
             lo = np.where(whole, -math.inf, lo)
             hi = np.where(whole, math.inf, hi)
         return IntervalArray(_down_each(lo), _up_each(hi))
@@ -194,15 +210,20 @@ class IntervalArray:
 
     def __truediv__(self, other):
         if isinstance(other, IntervalArray):
-            require_no_nan(self.lo, self.hi, other.lo, other.hi)
-            if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
-                raise DomainError("division by an interval containing zero in batch")
+            zero = ~((other.lo > 0.0) | (other.hi < 0.0))  # holds 0, or a NaN
+            if np.any(zero):
+                if not isinstance(other.lo, np.ndarray):
+                    raise DomainError("division by an interval containing zero")
+                out = self / IntervalArray(np.where(zero, 1.0, other.lo), np.where(zero, 1.0, other.hi))
+                return IntervalArray(np.where(zero, np.nan, out.lo), np.where(zero, np.nan, out.hi))
             q = [self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi]
             lo = functools.reduce(np.minimum, q)
             if np.isnan(lo).any():
                 # an inf/inf quotient takes no part in the hull: it is replaced
-                # by the first quotient of its entry that is a number, if any
+                # by the first quotient of its entry that is a number, if any;
+                # an operand's NaN stays NaN
                 fill = functools.reduce(lambda a, b: np.where(np.isnan(a), b, a), q)
+                fill = np.where(_any_nan(self.lo, self.hi, other.lo, other.hi), np.nan, fill)
                 q = [np.where(np.isnan(x), fill, x) for x in q]
                 lo = functools.reduce(np.minimum, q)
             return IntervalArray(_down_each(lo), _up_each(functools.reduce(np.maximum, q)))
@@ -224,7 +245,6 @@ class IntervalArray:
         return IntervalArray(-self.hi, -self.lo)
 
     def __abs__(self):
-        require_no_nan(self.lo, self.hi)
         return IntervalArray(*_abs_ends(self.lo, self.hi))
 
     def sqrt(self) -> "IntervalArray":
@@ -235,12 +255,13 @@ class IntervalArray:
         endpoint is 0 where the interval holds 0."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("pow_int exponent must be a non-negative integer")
-        require_no_nan(self.lo, self.hi)
         if k == 0:
-            return self.constant(1.0)
+            return IntervalArray(float_power(self.lo, 0), float_power(self.hi, 0))
         if k == 1:
             return IntervalArray(self.lo, self.hi)
         lo, hi = _abs_ends(self.lo, self.hi) if k % 2 == 0 else (self.lo, self.hi)
+        if isinstance(self.lo, np.ndarray):  # of 0-d arrays, numpy gives scalars
+            lo, hi = np.asarray(lo), np.asarray(hi)
         return IntervalArray(_down_each(float_power(lo, k)), _up_each(float_power(hi, k)))
 
 

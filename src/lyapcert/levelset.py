@@ -237,7 +237,8 @@ def _candidates(wctx: WContext, boxes: BoxArray, ranked: list, refine_to: float,
 
 
 def _local_set_inside_level(wctx: WContext, local, Lbar: float, samples: int = 512) -> bool:
-    """Sampled audit that the local ellipsoid sits inside {W <= Lbar}."""
+    """Sampled audit that the local ellipsoid sits inside {W <= Lbar}; a
+    point whose W fails counts as outside."""
     P = np.asarray(local.P_L, dtype=float)
     n = P.shape[0]
     rng = np.random.default_rng(7)
@@ -246,11 +247,4 @@ def _local_set_inside_level(wctx: WContext, local, Lbar: float, samples: int = 5
     # map the unit sphere onto the ellipsoid boundary {x'Px = level}
     L = np.linalg.cholesky(np.linalg.inv(P))
     pts = math.sqrt(local.level_L) * (U @ L.T)
-    # all points are evaluated at once; a point's error is raised only if
-    # the audit reaches that point, i.e. before the first point above Lbar
-    for w in wctx.values(pts):
-        if isinstance(w, Exception):
-            raise w
-        if w > Lbar:
-            return False
-    return True
+    return not any(isinstance(w, Exception) or w > Lbar for w in wctx.values(pts))

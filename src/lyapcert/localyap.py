@@ -16,16 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import batch_or_each
 from .errors import NotLocallyStableError
 from .expr import eval_grad, eval_real
 from .geometry import BoxArray, HyperRect, interval_batch
-from .interval import IntervalArray, require_no_nan
+from .interval import IntervalArray
 from .system import (
     CandidateV,
     PiecewiseSystem,
     _enclose,
-    _one,
     quad_form,
     region_of,
     regions_intersecting_boxes,
@@ -178,47 +176,31 @@ def verify_local(
     )
 
 
-# errors a hole-audit batch raises as a whole: a NaN endpoint, a float power
-_BATCH_ERRORS = (ValueError, OverflowError)
-
-
 def _hole_escapes(dsys, boxes, P, level) -> bool:
-    """Does a box (of a BoxArray, or HyperRects) that meets the level set
-    have a one-step image (under a region its guards allow) on which x'Px
-    exceeds the level?
+    """Does a box (of a BoxArray, or HyperRects) that may meet the level
+    set have a one-step image (under a region its guards allow) on which
+    x'Px may exceed the level?
 
-    The answer, or the error raised, is that of a loop over the boxes in
-    order and over each box's regions in order, which stops at the first
-    escape; the enclosures come from one batch for all boxes and one per
-    region.
+    Each step is one batch over the boxes it concerns.  A failure counts
+    against the certificate: a box whose enclosure of x'Px holds a NaN may
+    meet the level set, and one whose regions or image fail escapes.
     """
     boxes = BoxArray.of(boxes)
+    if not len(boxes):
+        return False
 
-    def quad(ivals, end):  # one endpoint of x'Px over each entry of ivals
+    def quad(ivals):  # the enclosure of x'Px over each entry of ivals
         q = quad_form(P, list(ivals))
-        if not isinstance(q, IntervalArray):
-            return [float(q)] * ivals.lo.shape[1]
-        require_no_nan(q.lo, q.hi)
-        return getattr(q, end).tolist()
+        return q if isinstance(q, IntervalArray) else ivals[0].constant(q)
 
-    def images_escape(region, ks):
-        image, errors = _enclose(region.field.components, interval_batch(boxes.take(ks)))
-        return [errors.get(j, hi > level) for j, hi in enumerate(quad(image, "hi"))]
-
-    def regions_of(ks):
-        return regions_intersecting_boxes(dsys, boxes.take(ks))
-
-    keys = range(len(boxes))
-    lows = batch_or_each(
-        lambda ks: quad(interval_batch(boxes.take(ks)), "lo"), keys, _BATCH_ERRORS
-    )
-    touching = [k for k in keys if isinstance(lows[k], Exception) or lows[k] <= level]
-    regions = dict(zip(touching, batch_or_each(regions_of, touching, _BATCH_ERRORS)))
-    escapes = {}
+    touching = np.flatnonzero(~(quad(interval_batch(boxes)).lo > level))
+    regions = regions_intersecting_boxes(dsys, boxes.take(touching))
+    if any(isinstance(regs, Exception) for regs in regions):
+        return True
     for r, region in enumerate(dsys.regions):
-        ks = [k for k in touching if isinstance(regions[k], tuple) and r in regions[k]]
-        outs = batch_or_each(lambda sel: images_escape(region, sel), ks, _BATCH_ERRORS)
-        escapes.update(((k, r), out) for k, out in zip(ks, outs))
-    return any(
-        _one(lows[k]) <= level and any(_one(escapes[k, r]) for r in _one(regions[k])) for k in keys
-    )
+        ks = [k for k, regs in zip(touching, regions) if r in regs]
+        if ks:
+            image, errors = _enclose(region.field.components, interval_batch(boxes.take(ks)))
+            if errors or not np.all(quad(image).hi <= level):
+                return True
+    return False

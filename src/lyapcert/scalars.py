@@ -7,6 +7,7 @@ Interval is the 0-d one), and dual numbers.  Batched payloads give,
 entry by entry, the same numbers as their one-entry counterparts: a float
 and a float array take one rule each for sqrt and integer powers
 (``float_sqrt`` and ``float_power``, which interval endpoints use too).
+Where a plain number raises, a batched payload's entry is NaN.
 """
 
 from __future__ import annotations
@@ -41,37 +42,36 @@ def abs_(v):
 
 def div_(a, b):
     if isinstance(b, np.ndarray):
-        if np.any(b == 0.0):
-            raise DomainError("division by zero in batch")
+        zero = b == 0.0
+        if np.any(zero):
+            return np.where(zero, np.nan, a / np.where(zero, 1.0, b))
         return a / b
     if isinstance(b, numbers.Real):
         if float(b) == 0.0:
             raise DomainError("division by zero")
         return a / b
-    return a / b  # interval, interval-array and dual payloads raise DomainError themselves
+    return a / b  # interval and dual payloads apply their own rule
 
 
-def strict_sign(v):
-    """+1 / -1 when the sign of v is unambiguous, else None.
-
-    For batched payloads the sign must be the same in every entry.
-    """
-    if isinstance(v, np.ndarray):
-        if np.all(v > 0.0):
-            return 1
-        if np.all(v < 0.0):
-            return -1
-        return None
-    if isinstance(v, numbers.Real):
-        x = float(v)
-        return 1 if x > 0.0 else (-1 if x < 0.0 else None)
+def signs(v):
+    """(positive, negative): per entry of a batched payload, bool arrays
+    saying whether v is surely > 0 or surely < 0 there; two bools for a
+    plain number or an Interval.  Dual numbers take their primal's."""
+    if isinstance(v, (np.ndarray, numbers.Real)):
+        return v > 0.0, v < 0.0
     if isinstance(v, IntervalArray):
-        if np.all(v.lo > 0.0):
-            return 1
-        if np.all(v.hi < 0.0):
-            return -1
-        return None
-    return strict_sign(v.value)  # dual numbers: sign of the primal
+        return v.lo > 0.0, v.hi < 0.0
+    return signs(v.value)
+
+
+def where_(mask, a, b):
+    """a where mask holds and b elsewhere, entry by entry (the last axis),
+    for two batched payloads of one kind, slot by slot."""
+    if isinstance(a, (np.ndarray, numbers.Real)):
+        return np.where(mask, a, b)
+    if isinstance(a, tuple):  # the gradient of a Dual
+        return tuple(where_(mask, x, y) for x, y in zip(a, b))
+    return type(a)(*(where_(mask, getattr(a, s), getattr(b, s)) for s in a.__slots__))
 
 
 def lift_like(template, c):
@@ -118,26 +118,22 @@ def stitch_rows(parts, rows, count: int):
     """The batched payload of `count` entries whose entries rows[i] are
     parts[i]: the inverse of take_rows over a partition of the entries.
 
-    Plain numbers stand for every entry of their part.  One number shared
-    by all parts stays a number, and numbers among float arrays fill their
-    entries, which then take the same bits under every float operation.
-    Other parts must have one kind: a number beside an interval or dual
-    payload would change the operations that later steps apply to its
-    entries, so that, and any other mix, raises DomainError.
+    Parts have one kind (apply_field lifts a plain-number component into
+    its inputs' kind), except that float payloads may hold plain numbers:
+    one number shared by all parts stays a number, and numbers among float
+    arrays fill their entries, which then take the same bits under every
+    float operation.
     """
     first = parts[0]
-    if all(isinstance(p, numbers.Real) for p in parts):
-        if len({float(p).hex() for p in parts}) == 1:
-            return first
-    elif all(isinstance(p, (numbers.Real, np.ndarray)) for p in parts):
-        shape = next(p.shape for p in parts if isinstance(p, np.ndarray))
+    if all(isinstance(p, numbers.Real) for p in parts) and len({float(p).hex() for p in parts}) == 1:
+        return first
+    if all(isinstance(p, (numbers.Real, np.ndarray)) for p in parts):
+        shape = next((p.shape for p in parts if isinstance(p, np.ndarray)), (count,))
         out = np.empty(shape[:-1] + (count,))
         for p, r in zip(parts, rows):
             out[..., r] = p
         return out
-    elif all(type(p) is type(first) for p in parts):
-        if isinstance(first, tuple):
-            return tuple(stitch_rows(gs, rows, count) for gs in zip(*parts))
-        fields = ([getattr(p, a) for p in parts] for a in first.__slots__)
-        return type(first)(*(stitch_rows(f, rows, count) for f in fields))
-    raise DomainError("branch rows give payloads of different kinds")
+    if isinstance(first, tuple):
+        return tuple(stitch_rows(gs, rows, count) for gs in zip(*parts))
+    fields = ([getattr(p, a) for p in parts] for a in first.__slots__)
+    return type(first)(*(stitch_rows(f, rows, count) for f in fields))

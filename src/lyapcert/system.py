@@ -9,6 +9,7 @@ covered.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,8 +19,8 @@ from .errors import BranchOverflowError, CoverageError, DomainError, LyapcertErr
 from .expr import Expr, VectorField, eval_any, eval_interval, eval_real, shift_vars
 from .expr import Bin, Const, Var
 from .geometry import HyperRect, interval_batch
-from .interval import IntervalArray, require_no_nan
-from .scalars import stitch_rows, take_rows
+from .interval import IntervalArray
+from .scalars import lift_like, stitch_rows, take_rows
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -226,11 +227,14 @@ def apply_field(sys: PiecewiseSystem, regions: np.ndarray, values: Sequence):
     When the entries share one region, its field runs on all of them.
     Otherwise each region's field runs on its own entries (take_rows) and
     the components are stitched back (stitch_rows), so that every entry
-    goes through exactly the operations of its region alone.
+    goes through exactly the operations of its region alone.  A component
+    that gives a plain number is lifted into the payload kind of the
+    inputs, so that later steps take the same operations on every entry.
     """
 
     def field(r, vals):
-        return [eval_any(c, vals) for c in sys.regions[r].field.components]
+        out = (eval_any(c, vals) for c in sys.regions[r].field.components)
+        return [lift_like(vals[0], v) if isinstance(v, numbers.Real) else v for v in out]
 
     if (regions == regions[0]).all():
         return field(int(regions[0]), values)
@@ -401,10 +405,13 @@ def _require_discrete(sys: PiecewiseSystem):
 # -- batched walks -------------------------------------------------------------
 #
 # Boxes (the entries of an IntervalArray) and points (the rows of a float
-# array) are walked together.  Each item gets bit for bit the result, or
-# the error, that its own one-item walk gives, whatever else is in the
-# batch: the numbers come from the same operations, and failures are
-# checked in the one-item order.
+# array) are walked together, each expression evaluated once over all of
+# them.  An item whose evaluation fails holds a NaN and gets a DomainError,
+# and the others go on: each item gets bit for bit the numbers of its own
+# one-item walk, whatever else is in the batch, and failures are checked
+# in the one-item order.  A plain-number step that fails (a constant
+# divisor 0, a constant power that overflows) raises for the whole batch;
+# it fails every item alike, and each gets it as a DomainError.
 
 
 def _one(result):
@@ -445,33 +452,36 @@ def _region_masks(sys: PiecewiseSystem, count: int, guard_values, holds):
 # -- over boxes
 
 
+# the error of an item whose evaluation marked a NaN
+_FAILED = "evaluation left its domain"
+
+
+def domain_errors(failed, message: str = _FAILED) -> dict:
+    """{entry: DomainError(message)} for the entries where the bool array
+    `failed` holds: those whose evaluation marked a NaN."""
+    return {j: DomainError(message) for j in np.flatnonzero(failed).tolist()}
+
+
+# what a plain-number step raises; it fails every item of a batch alike
+_PLAIN_FAILURES = (DomainError, OverflowError)
+
+
 def _enclose(exprs, ivals: IntervalArray):
     """Interval images of `exprs` over each entry of `ivals` (shape (n, K)).
 
-    Returns an IntervalArray of shape (len(exprs), K) and {entry: error}.
-    When the batch leaves a domain or a float power overflows, each entry
-    is evaluated again as a batch of one, so that a failing entry gets the
-    DomainError or OverflowError of its own evaluation.  A NaN endpoint
-    raises ValueError, as it does for an Interval.
+    Returns an IntervalArray of shape (len(exprs), K) and {entry: error},
+    a DomainError for each entry whose image holds a NaN endpoint.
     """
-    K = ivals.lo.shape[1]
-    lo = np.zeros((len(exprs), K))
+    lo = np.zeros((len(exprs), ivals.lo.shape[1]))
     hi = np.zeros_like(lo)
-    errors = {}
+    message = _FAILED
     try:
         for i, e in enumerate(exprs):
             out = eval_interval(e, ivals)
             lo[i], hi[i] = out.lo, out.hi
-    except (DomainError, OverflowError):
-        for j in range(K):
-            try:
-                for i, e in enumerate(exprs):
-                    out = eval_interval(e, ivals[:, j : j + 1])
-                    lo[i, j], hi[i, j] = out.lo[0], out.hi[0]
-            except (DomainError, OverflowError) as exc:
-                errors[j] = exc
-    require_no_nan(lo, hi)
-    return IntervalArray(lo, hi), errors
+    except _PLAIN_FAILURES as exc:
+        lo[:], hi[:], message = np.nan, np.nan, str(exc)
+    return IntervalArray(lo, hi), domain_errors(np.isnan(lo).any(axis=0) | np.isnan(hi).any(axis=0), message)
 
 
 def _feasible_regions(sys: PiecewiseSystem, ivals: IntervalArray, literal: bool):
@@ -571,25 +581,18 @@ def enumerate_boxes_branches(
 
 def _eval_points(exprs, X: np.ndarray):
     """Values of `exprs` at the rows of X (shape (N, n)), as an array
-    (len(exprs), N), and {row: error}.
-
-    Float arrays round like eval_real.  When the batch fails, each row is
-    evaluated again with eval_real, so that a failing row gets the error
-    of its own evaluation (a DomainError, or the OverflowError of a power).
+    (len(exprs), N), and {row: error}, a DomainError for each row whose
+    values hold a NaN.  Float arrays round like eval_real.
     """
     vals = np.zeros((len(exprs), X.shape[0]))
-    errors = {}
+    message = _FAILED
     try:
         with np.errstate(all="ignore"):
             for i, e in enumerate(exprs):
                 vals[i] = eval_any(e, list(X.T))
-    except (DomainError, OverflowError):
-        for j, x in enumerate(X.tolist()):
-            try:
-                vals[:, j] = [eval_real(e, x) for e in exprs]
-            except (DomainError, OverflowError) as exc:
-                errors[j] = exc
-    return vals, errors
+    except _PLAIN_FAILURES as exc:
+        vals[:], message = np.nan, str(exc)
+    return vals, domain_errors(np.isnan(vals).any(axis=0), message)
 
 
 def _closure_regions(sys: PiecewiseSystem, X: np.ndarray):
@@ -619,14 +622,15 @@ def _resolve_points(sys: PiecewiseSystem, X: np.ndarray):
 def validate_coverage(sys: PiecewiseSystem, S: HyperRect, samples: int = 1000, seed: int = 0):
     """Sampled check that the regions cover S with at most boundary ties.
 
-    Raises the error region_of raises at the first sample point that has one.
+    Raises the error of the first sample point that has one: a DomainError
+    where a guard's value fails, else the CoverageError of region_of.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(S.lower, S.upper, size=(samples, S.n))
     closure, errors = _closure_regions(sys, X)
     for k in range(samples):
         if k in errors:
-            raise errors[k]
+            raise DomainError(f"{errors[k]} at state {X[k].tolist()}")
         if not closure[:, k].any():
             raise CoverageError(f"state {X[k].tolist()} is covered by no region")
 

@@ -207,10 +207,6 @@ def _point_jump(ctx, center, branches, values) -> float:
     return float(max(vals) - min(vals))
 
 
-# evaluation failures that flag a box `domain-error`
-_EVAL_ERRORS = (DomainError, OverflowError)
-
-
 @dataclass
 class BoxOutcome:
     certified: bool
@@ -245,17 +241,17 @@ def verify_boxes(ctx, boxes) -> BoxOutcomes:
 
     Branch patterns are enumerated for all boxes in one interval walk;
     then every (box, branch) pair is assessed in one batched evaluation
-    (by_branch).  A batch that meets a DomainError, or the OverflowError
-    of a float power, is assessed again pair by pair, so only the boxes at
-    fault are flagged `domain-error`.  Each outcome is the same whatever
-    the other boxes in the call are.
+    (by_branch).  A pair whose evaluation fails (a NaN in its value,
+    gradient or Hessian) has a DomainError, which flags its box
+    `domain-error`.  Each outcome is the same whatever the other boxes in
+    the call are.
 
     A box with one branch and no error is decided by array operations,
     F = F(x_s) and gamma = a * max|delta| + b + 0.0 (certificate_slack
     with no jump); the others box by box (_decide).
     """
     boxes = BoxArray.of(boxes)
-    branches, found = by_branch(ctx, boxes, _EVAL_ERRORS, assess_boxes)
+    branches, found = by_branch(ctx, boxes, assess_boxes)
     N = len(boxes)
     out = BoxOutcomes(np.zeros(N, bool), [None] * N, [None] * N, [None] * N, np.ones(N, bool))
     radius = boxes.radius
@@ -263,7 +259,7 @@ def verify_boxes(ctx, boxes) -> BoxOutcomes:
     for k, seqs in enumerate(branches):
         if not isinstance(seqs, Exception) and len(seqs) == 1:
             bb = found[k, seqs[0]][0]
-            if not isinstance(bb, _EVAL_ERRORS):
+            if not isinstance(bb, DomainError):
                 plain.append(k)
                 bounds.append((bb.value, bb.split.a, bb.split.b))
                 continue
@@ -283,7 +279,7 @@ def _decide(ctx, center, xi, branches, found, k, out: BoxOutcomes):
     their enumeration, and their assessments in `found` (by_branch)."""
     if isinstance(branches, BranchOverflowError):
         out.flag[k] = "branch-overflow"
-    elif isinstance(branches, _EVAL_ERRORS):
+    elif isinstance(branches, DomainError):
         out.flag[k] = "domain-error"
     elif isinstance(branches, DomainExit):
         # refinement shrinks the enclosure, but not a trajectory that has
@@ -294,7 +290,7 @@ def _decide(ctx, center, xi, branches, found, k, out: BoxOutcomes):
         out.flag[k] = "no-region"
     else:
         assessments = [found[k, b][0] for b in branches]
-        if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
+        if any(isinstance(a, DomainError) for a in assessments):
             out.flag[k] = "domain-error"
             return
         values = [a.value for a in assessments]

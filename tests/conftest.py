@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from lyapcert import CandidateV, HyperRect, IntervalArray, VectorField, parse_expr
+from lyapcert.bounds import _values_and_grads
 from lyapcert.system import Guard, PiecewiseSystem, Region
 
 CONFIG_DIR = Path(__file__).parent.parent / "src" / "lyapcert" / "configs"
@@ -14,6 +15,13 @@ CONFIG_DIR = Path(__file__).parent.parent / "src" / "lyapcert" / "configs"
 
 def _field(dim, *texts):
     return VectorField(dim, tuple(parse_expr(t, dim) for t in texts))
+
+
+def value_and_grad(fmap, x):
+    """A branch map's value and gradient at the point x: the one row of
+    the library's batched point pass."""
+    values, grads = _values_and_grads(fmap, np.array([x], dtype=float))
+    return float(values[0]), grads[0]
 
 
 def one_box(lo, hi):

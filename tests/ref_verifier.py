@@ -20,11 +20,10 @@ from lyapcert.bounds import (
     by_branch,
     certificate_slack,
 )
-from lyapcert.errors import BranchOverflowError, CoverageError
+from lyapcert.errors import BranchOverflowError, CoverageError, DomainError
 from lyapcert.geometry import HyperRect, SampleLedger, SampleRecord, interval_batch
-from lyapcert.interval import require_no_nan
 from lyapcert.system import DomainExit
-from lyapcert.verifier import _EVAL_ERRORS, BoxOutcome, _point_jump
+from lyapcert.verifier import BoxOutcome, _point_jump
 
 
 def ref_from_bounds(lo, hi) -> HyperRect:
@@ -74,9 +73,12 @@ def ref_assess_boxes(fmap, boxes) -> list:
         values, grads = _values_and_grads(fmap, centers)
         hess = fmap.interval_hessian(ivec)
         mags = hess.magnitude()
-    require_no_nan(hess.lo, hess.hi)
     out = []
     for k, box in enumerate(boxes):
+        parts = (values[k], grads[k], hess.lo[k], hess.hi[k])
+        if any(np.isnan(p).any() for p in parts):  # the box's evaluation failed
+            out.append(DomainError("evaluation left its domain"))
+            continue
         H, tau = np.ascontiguousarray(mags[k]), box.tau
         a, b = float(np.sum(np.abs(grads[k]))), float(0.5 * tau @ H @ tau)
         out.append(BranchBounds(float(values[k]), BoundCoefficients(a, b)))
@@ -86,7 +88,7 @@ def ref_assess_boxes(fmap, boxes) -> list:
 def ref_decide(ctx, box, branches, found, k) -> BoxOutcome:
     if isinstance(branches, BranchOverflowError):
         return BoxOutcome(False, None, None, "branch-overflow")
-    if isinstance(branches, _EVAL_ERRORS):
+    if isinstance(branches, DomainError):
         return BoxOutcome(False, None, None, "domain-error")
     if isinstance(branches, DomainExit):
         refinable = not ctx.center_exits(box.center)
@@ -94,7 +96,7 @@ def ref_decide(ctx, box, branches, found, k) -> BoxOutcome:
     if isinstance(branches, CoverageError):
         return BoxOutcome(False, None, None, "no-region")
     assessments = [found[k, b][0] for b in branches]
-    if any(isinstance(a, _EVAL_ERRORS) for a in assessments):
+    if any(isinstance(a, DomainError) for a in assessments):
         return BoxOutcome(False, None, None, "domain-error")
     values = [a.value for a in assessments]
     eps = _point_jump(ctx, box.center, branches, values)
@@ -123,7 +125,7 @@ def ref_build_certified_region(cfg, ctx):
     explored = 0
     queue = ref_seed_boxes(cfg)
     while queue:
-        branches, found = by_branch(ctx, queue, _EVAL_ERRORS, ref_assess_boxes)
+        branches, found = by_branch(ctx, queue, ref_assess_boxes)
         outcomes = [
             ref_decide(ctx, queue[k], seqs, found, k) for k, seqs in enumerate(branches)
         ]

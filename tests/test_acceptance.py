@@ -37,7 +37,7 @@ from lyapcert.system import (
 from lyapcert.expr import VectorField
 from lyapcert.verifier import DecreaseContext, VerifyConfig, build_certified_region
 
-from conftest import CONFIG_DIR, one_box
+from conftest import CONFIG_DIR, one_box, value_and_grad
 from oracles import decrease_batch, fd_gradient, sample_box
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -349,7 +349,7 @@ def test_criterion8_bound_soundness():
         box = HyperRect(c, np.column_stack([h, -h]).ravel())
         fmap = DecreaseMap(sys_, V, M, (0,) * M)
         bb = assess_branch(fmap, box)
-        val, grad = fmap.value_and_grad(box.center)
+        val, grad = value_and_grad(fmap, box.center)
         pts = sample_box(box, 10000, rng)
         F = decrease_batch(sys_, V.P, V.rho_c, M, pts)
         dist = np.max(np.abs(pts - box.center), axis=1)

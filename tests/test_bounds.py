@@ -13,7 +13,6 @@ from lyapcert.bounds import (
     DerivativeAlongFlowMap,
     WContext,
     assess_branch,
-    batch_or_each,
     certificate_slack,
     gradient_coefficient,
     gradient_coefficients,
@@ -25,7 +24,7 @@ from lyapcert.expr import eval_hess_interval, parse_expr
 from lyapcert.geometry import BoxArray
 from lyapcert.system import euler_discretize
 
-from conftest import one_box
+from conftest import one_box, value_and_grad
 from oracles import decrease_batch, fd_gradient, sample_box
 
 
@@ -39,7 +38,7 @@ def test_gradient_coefficient_against_fd(switched_sys):
     V = CandidateV(np.eye(2), 0.999)
     fmap = DecreaseMap(switched_sys, V, 3, (0, 1, 0))
     x = np.array([1.0, 0.0])
-    val, grad = fmap.value_and_grad(x)
+    val, grad = value_and_grad(fmap, x)
     assert val == pytest.approx(0.5091 - 0.999, abs=5e-4)
     g_fd = fd_gradient(lambda p: fmap.value(p), x)
     assert np.max(np.abs(grad - g_fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
@@ -161,7 +160,7 @@ def test_remainder_form_soundness(poly2d_sys):
         h = rng.uniform(0.01, 0.15, 2)
         box = HyperRect(c, [h[0], -h[0], h[1], -h[1]])
         fmap = DecreaseMap(poly2d_sys, V, 2, (0, 0))
-        val, grad = fmap.value_and_grad(box.center)
+        val, grad = value_and_grad(fmap, box.center)
         bb = assess_branch(fmap, box)
         pts = sample_box(box, 2000, rng)
         F_pts = decrease_batch(poly2d_sys, V.P, V.rho_c, 2, pts)
@@ -220,7 +219,7 @@ def test_flow_derivative_map_hand_case():
     fmap = DerivativeAlongFlowMap(ct, dt, V, 1, 0, ())
     assert fmap.value([1.0]) == pytest.approx(-2.0)
     assert fmap.value([0.0]) == 0.0
-    val, grad = fmap.value_and_grad([0.7])
+    val, grad = value_and_grad(fmap, [0.7])
     assert val == pytest.approx(-2 * 0.49)
     assert grad[0] == pytest.approx(-4 * 0.7)
 
@@ -296,36 +295,6 @@ def test_w_bound_refuses_unbounded_refinement():
     assert fine is not None and fine <= wctx.value([0.5])
     assert wctx.lower_bounds([good, huge], subdivide_to=0.1 / 2**10) == [fine, None]
     assert wctx.lower_bounds([good], subdivide_to=0.1 / 2**13) == [None]
-
-
-def test_batch_or_each_bisects():
-    calls = []
-
-    def batch(items):
-        calls.append(list(items))
-        if 3 in items:
-            raise ValueError("three")
-        return [10 * i for i in items]
-
-    assert batch_or_each(batch, [], (ValueError,)) == []
-    assert calls == []
-    assert batch_or_each(batch, [1, 5], (ValueError,)) == [10, 50]
-    out = batch_or_each(batch, [1, 3, 5], (ValueError,))
-    assert out[0] == 10 and isinstance(out[1], ValueError) and out[2] == 50
-    # a batch that raises is halved until the failing item stands alone
-    assert calls == [[1, 5], [1, 3, 5], [1], [3, 5], [3], [5]]
-    calls.clear()
-    out = batch_or_each(batch, list(range(1, 9)), (ValueError,))
-    assert out[:2] + out[3:] == [10, 20, 40, 50, 60, 70, 80] and isinstance(out[2], ValueError)
-    assert calls == [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4], [1, 2], [3, 4], [3], [4], [5, 6, 7, 8]]
-    # with a group, one batch per group in order of first appearance, then halves
-    calls.clear()
-    out = batch_or_each(batch, [1, 2, 3, 4, 5, 7], (ValueError,), group=lambda i: i % 2)
-    assert [o for o in out if not isinstance(o, ValueError)] == [10, 20, 40, 50, 70]
-    assert isinstance(out[2], ValueError)
-    assert calls == [[1, 2, 3, 4, 5, 7], [1, 3, 5, 7], [1, 3], [1], [3], [5, 7], [2, 4]]
-    with pytest.raises(ValueError):
-        batch_or_each(batch, [3], (OverflowError,))
 
 
 def _layout(x: np.ndarray, kind: str) -> np.ndarray:

@@ -422,3 +422,60 @@ def test_export_trajectories(tmp_path):
     rows = open([p for p in paths if p.endswith("trajectories.csv")][0]).read().splitlines()
     assert rows[0] == "seed,step,x1"
     assert len(rows) > 10
+
+
+# A: 0.5*x1 + x1^4 - x1^4 over S = +-1e80, where x1^4 overflows and
+# inf - inf makes the enclosure of a box NaN
+CONFIG_A = {
+    "system": {
+        "dim": 1,
+        "mode": "discrete",
+        "regions": [{"guards": [], "field": ["0.5*x1 + x1*x1*x1*x1 - x1*x1*x1*x1"]}],
+    },
+    "candidate": {"P": [[1.0]], "rho_c": 0.9, "M": 1, "M_max": 1},
+    "search": {
+        "S": {"lo": [-1e80], "hi": [1e80]},
+        "delta_min": 2e79,
+        "N1": {"lo": [-0.5], "hi": [0.5]},
+        "boundary_spacing": 1e79,
+    },
+}
+# B: a guard x1^400 >= -1, whose float power overflows at the coverage samples
+CONFIG_B = copy.deepcopy(CONFIG_A)
+CONFIG_B["system"]["regions"] = [{"guards": ["x1^400 >= -1"], "field": ["0.5*x1"]}]
+CONFIG_B["search"].update(
+    S={"lo": [-10.0], "hi": [10.0]}, delta_min=0.5, boundary_spacing=0.5
+)
+
+
+def _verify_dt(tmp_path, doc):
+    """`lyapcert verify-dt` on the config in a process of its own."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-m", "lyapcert.cli", "verify-dt", str(cfg), "--out", str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    return done, out
+
+
+def test_nan_enclosures_are_domain_errors_in_the_ledger(tmp_path):
+    done, out = _verify_dt(tmp_path, CONFIG_A)
+    assert done.returncode in (0, 2), done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert any(line.startswith("verdict:") for line in done.stdout.splitlines())
+    flags = [rec["flag"] for rec in json.loads(out.read_text())["wrong"]]
+    assert flags and set(flags) == {"domain-error"}
+
+
+def test_overflowing_guard_is_an_error_line(tmp_path):
+    done, _ = _verify_dt(tmp_path, CONFIG_B)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stdout + done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr

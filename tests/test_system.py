@@ -193,7 +193,8 @@ def lc_hyperrect(center, delta):
 def test_enclose_failing_boxes_fail_alone():
     # one box whose float power overflows, one outside the domain of sqrt,
     # and two that evaluate: one of them overflows to inf in a product,
-    # which numpy would warn about outside the drivers' error state
+    # which numpy would warn about outside the drivers' error state; each
+    # failing box holds a NaN and gets a DomainError
     import warnings
 
     from lyapcert.errors import DomainError
@@ -213,7 +214,8 @@ def test_enclose_failing_boxes_fail_alone():
         rng, errors = _enclose(exprs, ivals)
         alone = [_enclose(exprs, ivals[:, j : j + 1]) for j in (2, 3)]
     assert sorted(errors) == [0, 1]
-    assert isinstance(errors[0], OverflowError) and isinstance(errors[1], DomainError)
+    assert all(isinstance(errors[j], DomainError) for j in (0, 1))
+    assert all(np.isnan(rng.lo[:, j]).any() or np.isnan(rng.hi[:, j]).any() for j in (0, 1))
     for j, (one, one_errors) in zip((2, 3), alone):
         assert one_errors == {}
         assert rng.lo[:, j].tolist() == one.lo[:, 0].tolist()

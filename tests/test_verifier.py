@@ -130,6 +130,28 @@ def test_overflowing_box_fails_alone(field):
     assert wctx.lower_bounds([good, huge]) == [wctx.lower_bound_over_box(good), None]
 
 
+@pytest.mark.parametrize("const", ["x1/(1 - 1)", "0*1e200^2"])  # a divisor 0, a power that overflows
+def test_plain_number_failure_fails_every_box(const):
+    # a constant step that fails raises for the whole batch, alike for
+    # every box: each box is a domain-error box, and a guard holding it
+    # fails the coverage check with an error line's DomainError
+    from lyapcert.errors import DomainError
+    from lyapcert.expr import VectorField, parse_expr
+    from lyapcert.system import Guard, PiecewiseSystem, Region, validate_coverage
+    from lyapcert.verifier import verify_boxes
+
+    field = VectorField(1, (parse_expr(f"0.5*x1 + {const}", 1),))
+    sys1 = PiecewiseSystem(1, "discrete", (Region((), field),))
+    boxes = [HyperRect([0.5], [0.1, -0.1]), HyperRect([-0.3], [0.2, -0.2])]
+    ctx = _ctx(sys1, np.eye(1), 0.9, 1, HyperRect([0.0], [2.0, -2.0]))
+    assert [out.flag for out in verify_boxes(ctx, boxes)] == ["domain-error"] * 2
+    assert WContext(sys1, CandidateV(np.eye(1), 0.9), 2).lower_bounds(boxes) == [None, None]
+    guard = Guard(parse_expr(f"x1 + {const}", 1), "<=")
+    guarded = PiecewiseSystem(1, "discrete", (Region((guard,), field),))
+    with pytest.raises(DomainError):
+        validate_coverage(guarded, HyperRect([0.0], [1.0, -1.0]), 10)
+
+
 def test_check_invariance_reports_gaps(switched_sys):
     V = CandidateV(np.eye(2), 0.999)
     wctx = WContext(switched_sys, V, 3)
